@@ -184,20 +184,21 @@ def _cmd_kernel(args):
     with open(str(args.out) + ".terms.json", "w") as fh:
         json.dump(kern.to_records(), fh, indent=2)
 
-    from .kernels import kernel_eval
-    from .errors import SingularPointError
+    from .kernels import regular_part_grid, singular_mask
 
     xs = np.linspace(lo, hi, n)
+    values = regular_part_grid(kern, xs, xs)
+    singular = singular_mask(kern, xs, xs)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "re", "im"])
-        for x in xs:
-            for y in xs:
-                try:
-                    v = kernel_eval(kern, float(x), float(y))
-                    re, im = f"{v.real:.12g}", f"{v.imag:.12g}"
-                except SingularPointError:
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                if singular[i, j]:
                     re, im = "nan", "nan"
+                else:
+                    v = values[i, j]
+                    re, im = f"{v.real:.12g}", f"{v.imag:.12g}"
                 w.writerow([f"{x:.12g}", f"{y:.12g}", re, im])
     _write_sidecar(args.out, vars(args))
     return EXIT_OK

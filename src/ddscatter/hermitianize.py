@@ -53,6 +53,8 @@ class GaussianPacket:
     x0: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.sigma, self.k0, self.x0])):
+            raise DomainError("packet sigma, k0 and x0 must be finite")
         if self.sigma <= 0:
             raise DomainError("packet width sigma must be positive")
 
@@ -377,7 +379,7 @@ def p_kernel(c: Couplings) -> DistributionalKernel:
 
     The first-order part is anti-Hermitian, as required by P = rho^-1 p
     rho with positive rho; with it [X, P] = i + O(z^2) holds, which pins
-    the form (see decisions ledger for the derivation route).
+    the form.
     """
     _require_class(c)
     a = c.a

@@ -28,13 +28,14 @@ from .kernels import (
     DistributionalKernel,
     KernelPrimitive,
     KernelTerm,
+    _pair,
+    _panel_width,
     hermitian_completion,
 )
 from .model import Couplings, k_matrix, theta
 from .numerics import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    integrate_1d,
     integrate_oscillatory,
     matrix_inv_sqrt,
 )
@@ -381,9 +382,6 @@ def metric_de_residual(
     a = c.a
     zp, zm = c.z_plus, c.z_minus
 
-    bra_dd = test_bra.second_derivative
-    ket_dd = test_ket.second_derivative
-
     total = 0.0 + 0.0j
 
     # identity part: kinetic contributions cancel by symmetry, the
@@ -394,37 +392,30 @@ def metric_de_residual(
             total += ic * (np.conj(z) - z) * np.conj(test_bra(pos)) * test_ket(pos)
 
     reg_terms = tuple(t for t in kern.terms if not t.dirac_factors)
+    if not reg_terms:
+        return total
+    h = _panel_width(kern, (test_bra, test_ket), lo, hi, spec)
 
-    def kern_reg(xx, yy):
-        v = 0.0 + 0.0j
-        for t in reg_terms:
-            v += complex(t.regular_value(xx, yy))
-        return v
+    # kinetic action moved to the test functions: pairings against the
+    # second derivatives
+    kinetic = (
+        (test_bra, test_ket.second_derivative),
+        (test_bra.second_derivative, lambda y: -test_ket(y)),
+    )
+    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h, spec)
 
-    # kinetic action moved to the test functions
-    def outer(xx):
-        bterm = np.conj(test_bra(xx))
-        bdd = np.conj(bra_dd(xx))
-
-        def g(yy):
-            return kern_reg(xx, yy) * (bterm * ket_dd(yy) - bdd * test_ket(yy))
-
-        pts = [xx, -xx - 2 * a, -xx + 2 * a]
-        return integrate_1d(g, lo, hi, spec, points=pts)
-
-    total += integrate_1d(outer, lo, hi, spec, points=[-a, a])
-
-    # potential terms applied to the regular part
+    # potential terms applied to the regular part: the line terms
+    # conj(z) delta(x - pos) K(x, y) - z K(x, y) delta(y - pos)
+    potential = []
     for z, pos in ((zp, a), (zm, -a)):
-        inner = integrate_1d(
-            lambda yy: kern_reg(pos, yy) * test_ket(yy),
-            lo, hi, spec, points=[pos, -pos - 2 * a, -pos + 2 * a],
-        )
-        total += np.conj(z) * np.conj(test_bra(pos)) * inner
-        outer_i = integrate_1d(
-            lambda xx: np.conj(test_bra(xx)) * kern_reg(xx, pos),
-            lo, hi, spec, points=[pos, -pos - 2 * a, -pos + 2 * a],
-        )
-        total += -z * outer_i * test_ket(pos)
-
+        for t in reg_terms:
+            potential.append(
+                KernelTerm(np.conj(z) * t.coefficient, (_prim("dirac", "x", -pos),) + t.factors)
+            )
+            potential.append(
+                KernelTerm(-z * t.coefficient, (_prim("dirac", "y", -pos),) + t.factors)
+            )
+    total += _pair(
+        DistributionalKernel(terms=tuple(potential)), ((test_bra, test_ket),), lo, hi, h, spec
+    )
     return total

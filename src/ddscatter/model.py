@@ -69,6 +69,8 @@ class Couplings:
     a: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.z_plus, self.z_minus, self.a])):
+            raise DomainError("couplings and half-separation must be finite")
         if self.a <= 0:
             raise DomainError("half-separation a must be positive")
 

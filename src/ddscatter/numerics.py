@@ -93,6 +93,8 @@ class QuadratureSpec:
     oscillatory_regulator: float = 0.01
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.abs_tol, self.rel_tol, self.oscillatory_regulator])):
+            raise DomainError("tolerances and regulator must be finite")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.max_subdivisions < 1:

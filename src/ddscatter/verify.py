@@ -524,7 +524,7 @@ def check_grid_pseudo_hermiticity_frobenius():
     # coupling-linear (lattice artifacts), so the factor sits at 2
     r1 = gridmod.pseudo_hermiticity_residual(Couplings(0.1j, -0.1j, 1.0))
     r2 = gridmod.pseudo_hermiticity_residual(Couplings(0.05j, -0.05j, 1.0))
-    return True, f"halving factor {r1 / r2:.3f} (reported, non-gating; see ledger)"
+    return True, f"halving factor {r1 / r2:.3f} (reported, non-gating; see README)"
 
 
 def check_smeared_overlap():

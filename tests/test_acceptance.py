@@ -7,7 +7,7 @@ kernel residual carries coupling-linear lattice artifacts (sign-jump and
 window-edge stencils that a strictly diagonal potential difference cannot
 cancel entry-wise), pinning the halving factor at 2.  The weak-form
 diagnostic directly below it demonstrates the O(z^2) physics the
-criterion is after.  Full analysis in the decisions ledger.
+criterion is after.  The README states the analysis.
 """
 
 import time
@@ -148,7 +148,7 @@ def test_criterion_06_sampled_metric_pseudo_hermiticity_frobenius():
     ok = bound_ok and factor >= 3.0 and dt < 30
     report(6, ok, f"Frobenius residual {r1:.2e} (bound {'ok' if bound_ok else 'FAIL'}), "
                   f"halving factor {factor:.3f} (>=3 required; lattice artifacts pin it "
-                  f"at 2 - see ledger), {dt:.0f}s")
+                  f"at 2 - see README), {dt:.0f}s")
 
 
 def test_criterion_06_weak_form_diagnostic():

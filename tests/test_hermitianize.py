@@ -7,6 +7,7 @@ import pytest
 
 from ddscatter import (
     Couplings,
+    DomainError,
     GaussianPacket,
     UnsupportedCouplingError,
     apply_h,
@@ -89,6 +90,13 @@ class TestApplyH:
         oracle = energy_quadrature(c, g)
         assert abs(val.real - oracle.total) < 1e-8
         assert abs(val.imag) < 1e-10
+
+
+class TestGaussianPacket:
+    @pytest.mark.parametrize("args", [(np.nan,), (1.0, np.inf), (1.0, 0.0, np.nan)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError):
+            GaussianPacket(*args)
 
 
 class TestEnergies:
@@ -221,7 +229,7 @@ class TestDiscretizedEquivalence:
     def test_rho_conjugation_hermitizes(self):
         # rho H rho^{-1} with rho = sqrt(sampled metric) is Hermitian up
         # to O(z^2), measured weakly (the Frobenius norm of pointwise
-        # samplings carries coupling-linear lattice artifacts; see ledger)
+        # samplings carries coupling-linear lattice artifacts; see README)
         from ddscatter.grid import rho_hermitization_weak_residual
 
         r1 = rho_hermitization_weak_residual(Couplings(0.1j, -0.1j, 1.0))

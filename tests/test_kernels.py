@@ -46,6 +46,11 @@ class TestPrimitives:
         with pytest.raises(DomainError):
             P("gaussian", "x")
 
+    @pytest.mark.parametrize("shift,rate", [(np.nan, np.nan), (np.inf, 1.0), (0.0, np.nan)])
+    def test_non_finite_rejected(self, shift, rate):
+        with pytest.raises(DomainError):
+            P("exp_abs", "x", shift, rate)
+
     def test_duplicate_dirac_direction_rejected(self):
         with pytest.raises(DomainError):
             KernelTerm(1.0, (P("dirac", "x-y"), P("dirac", "x-y", 1.0)))

@@ -49,6 +49,13 @@ class TestNondimensionalize:
         with pytest.raises(DomainError):
             Couplings(0.0, 0.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "args", [(np.nan, 0.0), (0.0, complex(0.0, np.inf)), (0.0, 0.0, np.nan)]
+    )
+    def test_non_finite_couplings_rejected(self, args):
+        with pytest.raises(DomainError):
+            Couplings(*args)
+
 
 class TestPsi:
     def test_plane_wave_inside(self):

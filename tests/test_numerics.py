@@ -96,6 +96,14 @@ class TestIntegrate1d:
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"abs_tol": np.nan}, {"rel_tol": np.inf}, {"oscillatory_regulator": np.nan}],
+    )
+    def test_non_finite_spec_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            QuadratureSpec(**kwargs)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, -2.0])
     def test_oscillatory_regulated(self, alpha):
         # conditionally convergent: (1/2pi) int k e^{ik alpha}/(1+k^2) dk
