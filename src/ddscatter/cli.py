@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -43,24 +44,56 @@ EXIT_NUMERICAL = 4
 EXIT_VERIFY = 5
 
 
-def _parse_range(text, name):
+def _finite_float(text):
+    """The one parser of float values and range endpoints on the command
+    line: text that is not a finite number (nan and +-inf included) is a
+    usage error, exit 2."""
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError as exc:
-        raise DomainError(f"{name} must look like MIN:MAX, got {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_grid(text, name):
+def _float_range(text):
+    """MIN:MAX -> (min, max)."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}")
+    return tuple(_finite_float(p) for p in parts)
+
+
+def _float_grid(text):
+    """MIN:MAX:N -> (min, max, n)."""
+    parts = text.split(":")
     try:
-        lo, hi, n = text.split(":")
-        return float(lo), float(hi), int(n)
-    except ValueError as exc:
-        raise DomainError(f"{name} must look like MIN:MAX:N, got {text!r}") from exc
+        n = int(parts[-1])
+    except ValueError:
+        n = None
+    if len(parts) != 3 or n is None:
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX:N, got {text!r}")
+    return _finite_float(parts[0]), _finite_float(parts[1]), n
+
+
+_SWEEP_VARS = ("sigma", "k", "x0")
+
+
+def _sweep(text):
+    """VAR=MIN:MAX:STEPS -> (var, (min, max, steps))."""
+    var, sep, grid = text.partition("=")
+    var = var.strip()
+    if not sep or var not in _SWEEP_VARS:
+        raise argparse.ArgumentTypeError(
+            f"expected VAR=MIN:MAX:STEPS with VAR one of {','.join(_SWEEP_VARS)}; got {text!r}"
+        )
+    return var, _float_grid(grid)
 
 
 def _write_sidecar(path, payload):
-    payload = dict(payload)
+    # argparse's handler (``fn``) prints a memory address: not data
+    payload = {key: value for key, value in payload.items() if not callable(value)}
     payload["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
@@ -72,10 +105,8 @@ def _cmd_scan(args):
         mode_map[args.mode],
         z_minus_fixed=complex(args.z_minus_re, args.z_minus_im),
     )
-    r_range = _parse_range(args.r, "--r")
-    s_range = _parse_range(args.s, "--s")
     grid = scan_region(
-        mode, r_range, s_range, args.n, a=args.a, k_max=args.k_max, jobs=args.jobs
+        mode, args.r, args.s, args.n, a=args.a, k_max=args.k_max, jobs=args.jobs
     )
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -92,6 +123,14 @@ def _cmd_scan(args):
                      str(cell.quasi_hermitian).lower(), cell.status]
                 )
     _write_sidecar(args.out, vars(args))
+    failed = sum(cell.status != "ok" for cell in grid.flat)
+    if failed:
+        print(
+            f"numerical failure: {failed} of {grid.size} scan cells failed; "
+            f"see the status column of {args.out}",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -123,16 +162,11 @@ def _cmd_energy(args):
     sweeps = [dict(base)]
     sweep_var = None
     if args.sweep:
-        var, rng = args.sweep.split("=", 1)
-        var = var.strip()
-        if var not in base:
-            raise DomainError(f"--sweep variable must be one of sigma,k,x0; got {var!r}")
-        lo, hi, steps = _parse_grid(rng, "--sweep")
-        sweep_var = var
+        sweep_var, (lo, hi, steps) = args.sweep
         sweeps = []
         for v in np.linspace(lo, hi, steps):
             row = dict(base)
-            row[var] = float(v)
+            row[sweep_var] = float(v)
             sweeps.append(row)
 
     header = [
@@ -163,7 +197,7 @@ def _cmd_energy(args):
 
 
 def _cmd_kernel(args):
-    lo, hi, n = _parse_grid(args.grid, "--grid")
+    lo, hi, n = args.grid
     if args.which == "appendixA":
         p = metricmod.AppendixAParams(
             r_plus=args.r_plus, r_minus=args.r_minus,
@@ -251,55 +285,55 @@ def build_parser():
 
     sc = sub.add_parser("scan", help="coupling-plane map of bound states and singularities")
     sc.add_argument("--mode", choices=("antisym", "pt", "general"), required=True)
-    sc.add_argument("--r", required=True, help="MIN:MAX")
-    sc.add_argument("--s", required=True, help="MIN:MAX")
+    sc.add_argument("--r", type=_float_range, required=True, help="MIN:MAX")
+    sc.add_argument("--s", type=_float_range, required=True, help="MIN:MAX")
     sc.add_argument("--n", type=int, required=True)
-    sc.add_argument("--a", type=float, default=1.0)
-    sc.add_argument("--k-max", type=float, default=20.0)
+    sc.add_argument("--a", type=_finite_float, default=1.0)
+    sc.add_argument("--k-max", type=_finite_float, default=20.0)
     sc.add_argument("--jobs", type=int, default=1, help="0 = all cores")
-    sc.add_argument("--z-minus-re", type=float, default=0.0, help="general mode only")
-    sc.add_argument("--z-minus-im", type=float, default=0.0, help="general mode only")
+    sc.add_argument("--z-minus-re", type=_finite_float, default=0.0, help="general mode only")
+    sc.add_argument("--z-minus-im", type=_finite_float, default=0.0, help="general mode only")
     sc.add_argument("--out", required=True)
     sc.set_defaults(fn=_cmd_scan)
 
     en = sub.add_parser("energy", help="Gaussian-packet energy expectation values")
-    en.add_argument("--sigma", type=float, default=1.5)
-    en.add_argument("--k", type=float, default=0.0)
-    en.add_argument("--x0", type=float, default=0.0)
-    en.add_argument("--re-z", type=float, default=0.0)
-    en.add_argument("--im-z", type=float, required=True)
-    en.add_argument("--re-z-minus", type=float, default=None,
+    en.add_argument("--sigma", type=_finite_float, default=1.5)
+    en.add_argument("--k", type=_finite_float, default=0.0)
+    en.add_argument("--x0", type=_finite_float, default=0.0)
+    en.add_argument("--re-z", type=_finite_float, default=0.0)
+    en.add_argument("--im-z", type=_finite_float, required=True)
+    en.add_argument("--re-z-minus", type=_finite_float, default=None,
                     help="defaults to --re-z (PT-symmetric pair)")
-    en.add_argument("--im-z-minus", type=float, default=None,
+    en.add_argument("--im-z-minus", type=_finite_float, default=None,
                     help="defaults to -(--im-z); other values are outside the supported class")
-    en.add_argument("--a", type=float, default=1.0)
-    en.add_argument("--sweep", default=None, help="VAR=MIN:MAX:STEPS")
-    en.add_argument("--mass", type=float, default=None)
-    en.add_argument("--hbar", type=float, default=None)
-    en.add_argument("--ell", type=float, default=None)
+    en.add_argument("--a", type=_finite_float, default=1.0)
+    en.add_argument("--sweep", type=_sweep, default=None, help="VAR=MIN:MAX:STEPS")
+    en.add_argument("--mass", type=_finite_float, default=None)
+    en.add_argument("--hbar", type=_finite_float, default=None)
+    en.add_argument("--ell", type=_finite_float, default=None)
     en.add_argument("--out", required=True)
     en.set_defaults(fn=_cmd_energy)
 
     ke = sub.add_parser("kernel", help="dump a distributional kernel (terms + samples)")
     ke.add_argument("--which", choices=("eta1", "h", "X", "P", "appendixA"), required=True)
-    ke.add_argument("--a", type=float, default=1.0)
-    ke.add_argument("--im-z", type=float, default=0.1)
-    ke.add_argument("--re-z", type=float, default=0.0)
-    ke.add_argument("--re-z-minus", type=float, default=None)
-    ke.add_argument("--im-z-minus", type=float, default=None)
-    ke.add_argument("--r-plus", type=float, default=1.0)
-    ke.add_argument("--r-minus", type=float, default=1.0)
-    ke.add_argument("--eps-plus", type=float, default=0.0)
-    ke.add_argument("--eps-minus", type=float, default=0.0)
-    ke.add_argument("--gamma", type=float, default=1.0)
-    ke.add_argument("--grid", required=True, help="MIN:MAX:N")
+    ke.add_argument("--a", type=_finite_float, default=1.0)
+    ke.add_argument("--im-z", type=_finite_float, default=0.1)
+    ke.add_argument("--re-z", type=_finite_float, default=0.0)
+    ke.add_argument("--re-z-minus", type=_finite_float, default=None)
+    ke.add_argument("--im-z-minus", type=_finite_float, default=None)
+    ke.add_argument("--r-plus", type=_finite_float, default=1.0)
+    ke.add_argument("--r-minus", type=_finite_float, default=1.0)
+    ke.add_argument("--eps-plus", type=_finite_float, default=0.0)
+    ke.add_argument("--eps-minus", type=_finite_float, default=0.0)
+    ke.add_argument("--gamma", type=_finite_float, default=1.0)
+    ke.add_argument("--grid", type=_float_grid, required=True, help="MIN:MAX:N")
     ke.add_argument("--out", required=True)
     ke.set_defaults(fn=_cmd_kernel)
 
     im = sub.add_parser("inm", help="Fourier integral family: closed form vs quadrature")
     im.add_argument("--n", type=int, required=True)
     im.add_argument("--m", type=int, required=True)
-    im.add_argument("--alpha", type=float, required=True)
+    im.add_argument("--alpha", type=_finite_float, required=True)
     im.set_defaults(fn=_cmd_inm)
 
     ve = sub.add_parser("verify", help="run the named validation suites")

@@ -2,9 +2,14 @@
 
 Spectral singularities are real zeros of the transfer-matrix element
 M_22 (zero-width resonances); bound states are its zeros in the upper
-half k-plane, with energy E = k^2 (real iff k^2 is real).  Coupling-plane
-scans classify each grid cell and flag the quasi-Hermitian region (no
-singularities, all bound-state energies real).
+half k-plane, with energy E = k^2 (real iff k^2 is real).  Bound states
+are counted and refined as zeros of H(k) = k M_22(k) = -F(k)/(4k), where
+F(k) = (2ik - z_+)(2ik - z_-) - z_+ z_- e^{4iak} is entire with a simple
+zero at k = 0: H is regular at k = 0 and has the same zeros as M_22 in
+the open upper half plane, so contours near k = 0 see no pole.
+Coupling-plane scans classify each grid cell and flag the
+quasi-Hermitian region (no singularities, all bound-state energies
+real).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourError, DomainError, NoConvergenceError
+from .errors import ContourError, DdscatterError, DomainError, NoConvergenceError
 from .model import Couplings, m22
 from .numerics import ComplexRect, count_zeros, refine_root
 
@@ -98,7 +103,7 @@ def find_spectral_singularities(c: Couplings, k_max: float, n_samples: int = Non
     cand = np.where(interior & (vals[1:-1] < 0.5))[0] + 1
 
     roots = []
-    f = lambda k: complex(m22(c, complex(k)))
+    f = lambda k: m22(c, k)
     for idx in cand:
         try:
             root = refine_root(f, complex(ks[idx]))
@@ -128,8 +133,8 @@ def default_bound_rect(c: Couplings) -> ComplexRect:
 def count_bound_states(c: Couplings, rect: ComplexRect = None):
     """(total, real_energy) bound-state counts inside a UHP rectangle.
 
-    total comes from the argument-principle count of M_22 zeros;
-    real_energy from refining each isolated zero and testing
+    total comes from the argument-principle count of the zeros of
+    k M_22(k); real_energy from refining each isolated zero and testing
     |Im(k^2)| <= 1e-8.  ContourError propagates with a hint to perturb
     the rectangle.
     """
@@ -137,8 +142,7 @@ def count_bound_states(c: Couplings, rect: ComplexRect = None):
         rect = default_bound_rect(c)
     if rect.im_min <= 0:
         raise DomainError("bound-state rectangle must lie in the open upper half plane")
-    f = lambda k: complex(m22(c, k))
-    total = count_zeros(f, rect)
+    total = count_zeros(_regular_m22(c), rect)
     if total == 0:
         return 0, 0
     roots = bound_state_roots(c, rect, expected=total)
@@ -148,13 +152,19 @@ def count_bound_states(c: Couplings, rect: ComplexRect = None):
 
 def bound_state_roots(c: Couplings, rect: ComplexRect, expected: int = None):
     """Distinct zeros of M_22 inside rect, located by recursive rectangle
-    bisection (argument principle) plus Newton refinement."""
-    f = lambda k: complex(m22(c, k))
+    bisection (argument principle) plus Newton refinement, both applied
+    to k M_22(k)."""
+    f = _regular_m22(c)
     if expected is None:
         expected = count_zeros(f, rect)
     roots = []
     _isolate(f, rect, expected, roots, depth=40)
     return roots
+
+
+def _regular_m22(c):
+    """k -> k M_22(k): the bound-state function, free of the pole at k = 0."""
+    return lambda k: k * m22(c, k)
 
 
 def _add_root(out, root):
@@ -215,7 +225,7 @@ def _scan_cell(args):
         total, real_e = count_bound_states(c)
         cell.n_bound = total
         cell.n_bound_real_energy = real_e
-    except Exception as exc:  # per-cell failures recorded, scan continues
+    except DdscatterError as exc:  # per-cell failures recorded, scan continues
         cell.status = f"error: {type(exc).__name__}: {exc}"
     return cell.finalize()
 

@@ -3,10 +3,18 @@ and the mutation fixture proving the verifier catches injected errors."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ddscatter.cli import main
+import ddscatter
+from ddscatter import spectrum as spectrum_mod
+from ddscatter.cli import EXIT_NUMERICAL, EXIT_USAGE, main
+from ddscatter.errors import ContourError
 from ddscatter import verify as verify_mod
 from ddscatter import metric as metric_mod
 from ddscatter.kernels import DistributionalKernel, KernelTerm
@@ -49,6 +57,64 @@ class TestScanCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sidecar_stable_across_processes(self, tmp_path):
+        # two interpreters: a recorded object address would differ between them
+        out = tmp_path / "scan.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(ddscatter.__file__).parents[1]))
+        argv = [sys.executable, "-m", "ddscatter.cli", "scan", "--mode", "pt",
+                "--r=-0.6:-0.4", "--s", "0:0.2", "--n", "2", "--k-max", "8",
+                "--out", str(out)]
+        sidecars = []
+        for _ in range(2):
+            subprocess.run(argv, env=env, check=True, timeout=120)
+            sidecars.append(json.loads((tmp_path / "scan.csv.meta.json").read_text()))
+        for payload in sidecars:
+            assert "fn" not in payload
+            del payload["written_at"]
+        assert sidecars[0] == sidecars[1]
+
+    def test_failed_cell_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        real = spectrum_mod.count_bound_states
+
+        def fail_upper(c, rect=None):
+            if c.z_plus.imag > 0:
+                raise ContourError("zero on the contour")
+            return real(c, rect)
+
+        monkeypatch.setattr(spectrum_mod, "count_bound_states", fail_upper)
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", "--mode", "pt", "--r=-0.6:-0.4", "--s=-0.2:0.2", "--n", "2",
+                   "--k-max", "8", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "2 of 4 scan cells failed" in capsys.readouterr().err
+        statuses = [row["status"] for row in read_csv(out)]
+        assert statuses[:2] == ["ok", "ok"]
+        assert all(st.startswith("error: ContourError") for st in statuses[2:])
+
+
+NON_FINITE_ARGS = [
+    ["inm", "--n", "1", "--m", "3", "--alpha", "nan"],
+    ["scan", "--mode", "pt", "--r=-0.99:nan", "--s=-0.4:0.4", "--n", "2"],
+    ["scan", "--mode", "pt", "--r=-0.99:-0.01", "--s=-inf:0.4", "--n", "2"],
+    ["scan", "--mode", "pt", "--r=-0.99:-0.01", "--s=-0.4:0.4", "--n", "2", "--a", "inf"],
+    ["energy", "--im-z", "nan"],
+    ["energy", "--im-z", "0.2", "--sweep", "sigma=0.2:nan:5"],
+    ["kernel", "--which", "eta1", "--grid=-3:inf:5"],
+    ["kernel", "--which", "appendixA", "--gamma=-inf", "--grid=-3:3:5"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGS, ids=lambda argv: " ".join(argv))
+def test_non_finite_value_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] != "inm":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEnergyCommand:

@@ -10,6 +10,7 @@ from ddscatter import (
     ContourError,
     Couplings,
     DomainError,
+    NoConvergenceError,
     QuadratureSpec,
     count_zeros,
     erf_complex,
@@ -163,7 +164,7 @@ class TestCountZeros:
 
     def test_transfer_matrix_element(self):
         c = Couplings(0.3, -0.3, 1.0)
-        f = lambda k: complex(m22(c, k))
+        f = lambda k: m22(c, k)
         n = count_zeros(f, ComplexRect(-1, 1, 0.01, 2))
         assert n == 1
         # cross-check by Newton refinement from a coarse grid of starts
@@ -192,6 +193,17 @@ class TestRefineRoot:
 
     def test_residual_contract(self):
         c = Couplings(0.3, -0.3, 1.0)
-        f = lambda k: complex(m22(c, k))
+        f = lambda k: m22(c, k)
         r = refine_root(f, 0.1j)
         assert abs(f(r)) <= 1e-10
+
+    def test_non_finite_stops_at_once(self):
+        calls = []
+
+        def f(k):
+            calls.append(k.shape)
+            return np.full(k.shape, np.nan, dtype=complex)
+
+        with pytest.raises(NoConvergenceError, match="non-finite"):
+            refine_root(f, 0.5j)
+        assert calls == [(3,)]

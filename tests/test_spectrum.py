@@ -3,6 +3,9 @@ the upper half plane, coupling-plane scans."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from ddscatter import (
     ComplexRect,
@@ -11,10 +14,12 @@ from ddscatter import (
     bound_state_roots,
     count_bound_states,
     count_zeros,
+    default_bound_rect,
     find_spectral_singularities,
     m22,
     scan_region,
 )
+from ddscatter import spectrum as spectrum_mod
 
 # antisymmetric couplings z_+ = -z_- = i s: singularities sit at
 # s_n = n pi / (2 sqrt2 a) for odd n, at wave number k = s_n / sqrt2
@@ -77,7 +82,7 @@ class TestSpectralSingularities:
         c = Couplings(1j * s_exact, -1j * s_exact, 1.0)
         k_star = s_exact / np.sqrt(2)
         n = count_zeros(
-            lambda k: complex(m22(c, k)),
+            lambda k: m22(c, k),
             ComplexRect(k_star - 0.3, k_star + 0.3, -0.2, 0.2),
         )
         assert n == 1
@@ -124,11 +129,53 @@ class TestBoundStates:
                 1.0,
             )
             try:
-                total = count_zeros(lambda k: complex(m22(c, k)), rect)
+                total = count_zeros(lambda k: m22(c, k), rect)
             except Exception:
                 continue  # zero hugging the contour: not this property's concern
             roots = bound_state_roots(c, rect, expected=total)
             assert len(roots) == total
+
+
+def pt_imaginary_axis_roots(z, a=1.0):
+    """Oracle for PT couplings z_- = conj(z_+) = conj(z): on k = i kappa,
+    F(k) = (2ik - z_+)(2ik - z_-) - z_+ z_- e^{4iak} is the real function
+    G(kappa) = |2 kappa + z|^2 - |z|^2 e^{-4 a kappa}; brentq on its sign
+    changes gives the bound states on the imaginary axis."""
+    g = lambda kappa: abs(2 * kappa + z) ** 2 - abs(z) ** 2 * np.exp(-4 * a * kappa)
+    grid = np.geomspace(1e-4, 5.0, 4000)
+    vals = g(grid)
+    return [
+        brentq(g, lo, hi, xtol=1e-15)
+        for lo, hi, vlo, vhi in zip(grid, grid[1:], vals, vals[1:])
+        if vlo * vhi < 0
+    ]
+
+
+class TestBoundStatesNearThePole:
+    """M_22 has a pole at k = 0 just below the window's bottom edge
+    (Im k = 1e-3); counting zeros of k M_22 keeps the small-kappa bound
+    state that the pole's aliased winding used to hide."""
+
+    C = ScanMode("pt_symmetric").couplings(-0.99, 0.1225, 1.0)
+
+    def test_count_both_real(self):
+        assert count_bound_states(self.C) == (2, 2)
+
+    def test_roots_match_imaginary_axis_oracle(self):
+        roots = sorted(bound_state_roots(self.C, default_bound_rect(self.C)), key=abs)
+        kappas = pt_imaginary_axis_roots(self.C.z_plus)
+        assert len(kappas) == len(roots) == 2
+        assert abs(kappas[0] - 0.0052296) < 1e-7 and abs(kappas[1] - 0.6243236) < 1e-7
+        for k, kappa in zip(roots, kappas):
+            assert abs(k - 1j * kappa) < 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(modulus=st.floats(0.01, 0.99), phase=st.floats(-np.pi, np.pi))
+    def test_roots_match_count_pt_inside_unit_disc(self, modulus, phase):
+        z = modulus * np.exp(1j * phase)
+        c = Couplings(z, np.conj(z), 1.0)
+        total, _ = count_bound_states(c)
+        assert len(bound_state_roots(c, default_bound_rect(c))) == total
 
 
 class TestScanRegion:
@@ -161,6 +208,14 @@ class TestScanRegion:
             if cell.quasi_hermitian:
                 assert not cell.spectral_singularities
                 assert cell.n_bound == cell.n_bound_real_energy
+
+    def test_cell_does_not_hide_bugs(self, monkeypatch):
+        def bug(c, rect=None):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(spectrum_mod, "count_bound_states", bug)
+        with pytest.raises(TypeError):
+            scan_region(ScanMode("pt_symmetric"), (-0.6, -0.4), (0.0, 0.2), 2, k_max=8.0)
 
     def test_parallel_matches_serial(self):
         mode = ScanMode("antisymmetric")
