@@ -74,6 +74,7 @@ from .numerics import (
     erf_complex,
     integrate_1d,
     integrate_oscillatory,
+    integrate_panels,
     matrix_inv_sqrt,
     refine_root,
 )

@@ -12,14 +12,15 @@ physical units happens at the CLI boundary via PhysicalContext.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedCouplingError
-from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm
+from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm, _panel_width
 from .model import Couplings, theta
-from .numerics import DEFAULT_SPEC, QuadratureSpec, erf_complex, integrate_1d
+from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_1d, integrate_panels
 
 __all__ = [
     "GaussianPacket",
@@ -122,9 +123,6 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.kinetic + self.local_potential + self.nonlocal_part
 
-    def as_tuple(self):
-        return (self.kinetic, self.local_potential, self.nonlocal_part, self.total)
-
 
 def _require_class(c: Couplings):
     if not c.im_antisymmetric:
@@ -217,6 +215,10 @@ def apply_h(
     return ApplyHResult(complex(regular), complex(delta_plus), complex(delta_minus))
 
 
+# a kernel without terms: _panel_width then sees the packet's scales only
+_NO_TERMS = DistributionalKernel()
+
+
 def energy_quadrature(
     c: Couplings, packet: GaussianPacket, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> EnergyBreakdown:
@@ -227,19 +229,30 @@ def energy_quadrature(
           + Re z_+ |psi(a)|^2 + Re z_- |psi(-a)|^2
           + (Im z_+)^2/4 * Re[ psi*(-a) int_{-a}^{3a} psi
                                + psi*(a) int_{-3a}^{a} psi ]
+
+    The kinetic integral runs over x0 +- 14 sigma, the windows over
+    (-a, 3a) and (-3a, a), each by numerics.integrate_panels with the
+    coarsest panel width kernel_pair uses for a packet: twice the shorter
+    of sigma and 1/|k0|.  It samples psi and psi' in x-space only, so it
+    shares nothing with the erf/Faddeeva closed forms it checks.
     """
     _require_class(c)
     a = c.a
-    lo = packet.x0 - 14 * packet.sigma
-    hi = packet.x0 + 14 * packet.sigma
-    kinetic = integrate_1d(
-        lambda x: abs(packet.derivative(x)) ** 2, lo, hi, spec
+
+    def integral(f, lo, hi):
+        h = _panel_width(_NO_TERMS, (packet,), lo, hi, spec)
+        return integrate_panels(f, lo, hi, h, spec)
+
+    kinetic = integral(
+        lambda x: np.abs(packet.derivative(x)) ** 2,
+        packet.x0 - 14 * packet.sigma,
+        packet.x0 + 14 * packet.sigma,
     ).real
     local = (
         c.z_plus.real * abs(packet(a)) ** 2 + c.z_minus.real * abs(packet(-a)) ** 2
     )
-    int_m = integrate_1d(packet, -a, 3 * a, spec)
-    int_p = integrate_1d(packet, -3 * a, a, spec)
+    int_m = integral(packet, -a, 3 * a)
+    int_p = integral(packet, -3 * a, a)
     lam2 = c.z_plus.imag ** 2
     nonloc = (lam2 / 4) * (
         np.conj(packet(-a)) * int_m + np.conj(packet(a)) * int_p
@@ -283,16 +296,23 @@ def v_fn(a: float, sigma: float, x0: float) -> float:
 
 
 def w_fn(a: float, sigma: float, x0: float) -> float:
-    """Nonlocal-energy profile for a stationary packet at mean position
-    x0; even in x0."""
-    e1 = np.exp(-((a + x0) ** 2) / (2 * sigma**2))
-    b1 = erf_complex((a + x0) / (_SQRT2 * sigma)).real + erf_complex(
-        (3 * a - x0) / (_SQRT2 * sigma)
-    ).real
-    b2 = erf_complex((a - x0) / (_SQRT2 * sigma)).real + erf_complex(
-        (3 * a + x0) / (_SQRT2 * sigma)
-    ).real
-    return float(e1 * (b1 + np.exp(2 * a * x0 / sigma**2) * b2))
+    """Nonlocal-energy profile for a stationary packet at mean position x0:
+
+        W = e^{-(a+x0)^2/2 sigma^2} [erf((a+x0)/sqrt2 sigma) + erf((3a-x0)/sqrt2 sigma)]
+          + e^{-(a-x0)^2/2 sigma^2} [erf((a-x0)/sqrt2 sigma) + erf((3a+x0)/sqrt2 sigma)]
+
+    Every exponent is nonpositive, so nothing overflows at large
+    |x0|/sigma, and x0 -> -x0 swaps the two terms: W is even in x0
+    exactly, not just to rounding.
+    """
+    if sigma <= 0:
+        raise DomainError("sigma must be positive")
+    s = _SQRT2 * sigma
+
+    def term(u, v):
+        return math.exp(-((u / s) ** 2)) * (math.erf(u / s) + math.erf(v / s))
+
+    return term(a + x0, 3 * a - x0) + term(a - x0, 3 * a + x0)
 
 
 def energy_gaussian(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:

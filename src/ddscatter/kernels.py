@@ -12,9 +12,9 @@ wave functions, instead of sampling distributions on a grid.
 
 Every pointwise value goes through one array evaluator (_TermArrays).
 Pairings integrate Dirac factors out exactly and integrate what remains
-with composite Gauss-Legendre panels on the cells cut out by the
-factors' kink lines, where the integrands (smooth wave functions times
-exp(-rate |u|), |u|, signs and steps) are smooth.
+with composite Gauss-Legendre panels (the numerics panel rule) on the
+cells cut out by the factors' kink lines, where the integrands (smooth
+wave functions times exp(-rate |u|), |u|, signs and steps) are smooth.
 
 Conventions: theta(0) = 1/2, sign(0) = 0.
 """
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, SingularPointError
-from .numerics import DEFAULT_SPEC, QuadratureSpec
+from .errors import DomainError, SingularPointError
+from .numerics import DEFAULT_SPEC, QuadratureSpec, _converge, _panel_count, _unit_panels
 
 __all__ = [
     "KernelPrimitive",
@@ -388,48 +388,6 @@ def _weight(products, x, y):
     for bra, ket in products:
         w = w + np.conj(bra(x)) * ket(y)
     return w
-
-
-# 12 nodes on panels two length scales wide integrate a Gaussian packet
-# product to about 1e-13, so one halving usually meets the default spec
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
-def _panel_count(length, h):
-    return max(1, int(np.ceil(length / h)))
-
-
-def _unit_panels(count):
-    """Gauss-Legendre nodes and weights of `count` equal panels on [0, 1]."""
-    left = np.arange(count)[:, None] / count
-    t = (left + (_GL_NODES + 1.0) / (2 * count)).ravel()
-    w = np.tile(_GL_WEIGHTS / (2 * count), count)
-    return t, w
-
-
-def _converge(rule, base_panels, spec):
-    """rule(level) integrates with panels of width h / 2**level; levels
-    are added until |Q_h - Q_{h/2}| meets spec, and Q_{h/2} is returned.
-
-    Once another halving would put more than spec.max_subdivisions
-    panels on one line, the last estimate is judged as integrate_1d
-    judges QUADPACK's: accepted up to 50 times the tolerance,
-    QuadratureError beyond (an infinite bound if only one level fit).
-    """
-    value, bound, level = rule(0), np.inf, 0
-    while base_panels << (level + 1) <= spec.max_subdivisions:
-        level += 1
-        finer = rule(level)
-        bound, value = abs(finer - value), finer
-        if bound <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return value
-    if bound > max(spec.abs_tol, spec.rel_tol * abs(value)) * 50:
-        raise QuadratureError(
-            f"panel quadrature error bound {bound:.3e} exceeds tolerance for value {value!r}",
-            estimate=value,
-            error_bound=bound,
-        )
-    return value
 
 
 def _pair_line(argument, shift, arrays, products, lo, hi, h, spec):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import DomainError, UnsupportedCouplingError
 from .kernels import (
@@ -225,6 +224,8 @@ def inm(n: int, m: int, alpha: float):
 
 def _quiet_quad(*args, **kwargs):
     import warnings
+
+    import scipy.integrate
 
     with warnings.catch_warnings():
         # QAWF flags slow cycles on the conditionally convergent cases but

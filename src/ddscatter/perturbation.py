@@ -80,9 +80,6 @@ class PerturbedOperator:
     def total(self):
         return self.h0 + self.h1
 
-    def coupling_norm(self):
-        return max(abs(z) for z in self.couplings) if self.couplings else 0.0
-
 
 @dataclass(frozen=True)
 class QExpansion:
@@ -253,6 +250,7 @@ def run_instance(payload: dict) -> dict:
     h = equivalent_h(p, q1)
     eta = eta_from_q(q1, q2)
     H = p.total
+    hc = conjugated_h(p, QExpansion(q1, q2))
     return {
         "q1": matrix_to_json(q1),
         "q2": matrix_to_json(q2),
@@ -261,10 +259,5 @@ def run_instance(payload: dict) -> dict:
         "pseudo_hermiticity_residual": float(
             np.linalg.norm(eta @ H - H.conj().T @ eta)
         ),
-        "conjugated_h_antihermitian_residual": float(
-            np.linalg.norm(
-                conjugated_h(p, QExpansion(q1, q2))
-                - conjugated_h(p, QExpansion(q1, q2)).conj().T
-            )
-        ),
+        "conjugated_h_antihermitian_residual": float(np.linalg.norm(hc - hc.conj().T)),
     }

@@ -37,6 +37,12 @@ K_MIN_CUT = 1e-3           # small-k exclusion: the 1/k enhancement is genuine
 _SS_RESIDUAL_TOL = 1e-10   # |M22| at an accepted spectral singularity
 _SS_IMAG_TOL = 1e-8        # |Im k| at an accepted spectral singularity
 _REAL_ENERGY_TOL = 1e-8    # |Im k^2| for a bound state to count as real energy
+# |M_22| is sampled in blocks of at most this many points, so that every
+# complex temporary stays under 64 kB: glibc's allocator returns the top
+# of its heap to the OS only when a chunk that large is freed, and
+# whole-range temporaries (80 kB each at k_max = 20) made every cell
+# page-fault its working memory in again (about 90 us a cell)
+_SAMPLE_BLOCK = 4000
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,9 @@ def find_spectral_singularities(c: Couplings, k_max: float, n_samples: int = Non
         # resolve the e^{4iak} oscillation: ~40 samples per period
         n_samples = int(max(2000, 40 * 4 * c.a * k_max / (2 * np.pi) * 10))
     ks = np.linspace(K_MIN_CUT, k_max, n_samples)
-    vals = np.abs(m22(c, ks))
+    # the fewest equal blocks of at most _SAMPLE_BLOCK points
+    step = -(-n_samples // -(-n_samples // _SAMPLE_BLOCK))
+    vals = np.concatenate([np.abs(m22(c, ks[i:i + step])) for i in range(0, n_samples, step)])
     interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
     # only minima that plausibly dip toward zero are worth refining
     cand = np.where(interior & (vals[1:-1] < 0.5))[0] + 1
@@ -242,10 +250,15 @@ def scan_region(
     """Grid of ScanCell over the (r, s) plane, row-major in (s, r).
 
     Cells are independent; with jobs != 1 they are computed by a process
-    pool and merged by index.  Deterministic for given inputs.
+    pool and merged by index.  Deterministic for given inputs.  n, a and
+    k_max are checked before any cell runs (DomainError).
     """
     if n < 2:
         raise DomainError("grid size n must be at least 2")
+    if not (np.isfinite(a) and a > 0):
+        raise DomainError("a must be positive and finite")
+    if not (np.isfinite(k_max) and k_max > K_MIN_CUT):
+        raise DomainError("k_max must be finite and exceed the small-k cut 1e-3")
     rs = np.linspace(r_range[0], r_range[1], n)
     ss = np.linspace(s_range[0], s_range[1], n)
     tasks = [(mode, r, s, a, k_max) for s in ss for r in rs]

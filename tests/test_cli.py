@@ -117,6 +117,17 @@ def test_non_finite_value_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--k-max", "0.0005"], ["--a", "0"]])
+def test_bad_scan_input_is_usage_error(flags, tmp_path, capsys):
+    # rejected before any cell runs, so no cell fails and no CSV is written
+    out = tmp_path / "scan.csv"
+    rc = main(["scan", "--mode", "pt", "--r=-0.99:-0.01", "--s=-0.4:0.4", "--n", "2",
+               *flags, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEnergyCommand:
     def test_sweep_sigma_u_peak(self, tmp_path):
         out = tmp_path / "energy.csv"

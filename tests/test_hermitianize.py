@@ -2,13 +2,19 @@
 energy expectation values against the quadrature oracle, pseudo-Hermitian
 position/momentum kernels."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddscatter import (
     Couplings,
     DomainError,
     GaussianPacket,
+    QuadratureError,
+    QuadratureSpec,
     UnsupportedCouplingError,
     apply_h,
     energy_gaussian,
@@ -151,6 +157,49 @@ class TestEnergies:
         far = energy_gaussian_moving(c, 1.5, 3.0).nonlocal_part
         assert abs(far) < 0.05 * peak
 
+    @pytest.mark.parametrize("x0", [5.0, 1.0, -1.0])
+    def test_shifted_narrow_packet_far_out(self, x0):
+        # |x0|/sigma up to 100: W once overflowed to nan here
+        c = Couplings(0.1j, -0.1j, 1.0)
+        es = energy_gaussian_shifted(c, 0.05, x0)
+        eq = energy_quadrature(c, GaussianPacket(0.05, 0.0, x0))
+        assert math.isfinite(es.nonlocal_part)
+        assert abs(es.nonlocal_part - eq.nonlocal_part) <= 1e-6 * abs(eq.total)
+        assert abs(es.total - eq.total) <= 1e-6 * abs(eq.total)
+
+    @pytest.mark.parametrize("max_subdivisions", [1, 2])
+    def test_quadrature_budget_exhausted(self, max_subdivisions):
+        # one level (no error estimate) or two levels far from the tolerance
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=max_subdivisions)
+        with pytest.raises(QuadratureError) as info:
+            energy_quadrature(C_GENERAL, GaussianPacket(1.1, 0.5, -0.3), spec)
+        assert np.isfinite(info.value.estimate)
+        if max_subdivisions == 1:
+            assert info.value.error_bound == np.inf
+        else:
+            assert 0 < info.value.error_bound < np.inf
+
+
+# Im z_+ <= 0.2 and Re z >= 0 keep every total above 0.01 on these ranges,
+# so the relative comparison is well posed
+couplings = st.builds(
+    lambda re_p, re_m, lam: Couplings(complex(re_p, lam), complex(re_m, -lam), 1.0),
+    st.floats(0.0, 0.3), st.floats(0.0, 0.3), st.floats(0.05, 0.2),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(couplings, st.floats(0.2, 5.0), st.floats(-3.0, 3.0), st.floats(-6.0, 6.0))
+def test_closed_forms_match_quadrature(c, sigma, k0, x0):
+    pairs = (
+        (energy_gaussian(c, GaussianPacket(sigma, k0, x0)), GaussianPacket(sigma, k0, x0)),
+        (energy_gaussian_moving(c, sigma, k0), GaussianPacket(sigma, k0, 0.0)),
+        (energy_gaussian_shifted(c, sigma, x0), GaussianPacket(sigma, 0.0, x0)),
+    )
+    for closed, packet in pairs:
+        eq = energy_quadrature(c, packet)
+        assert abs(closed.total - eq.total) <= 1e-6 * abs(eq.total)
+
 
 class TestProfiles:
     def test_u_decay_in_k(self):
@@ -180,6 +229,19 @@ class TestProfiles:
 
     def test_w_decay(self):
         assert w_fn(1.0, 0.8, 30.0) < 1e-100
+
+    def test_w_no_overflow(self):
+        # e^{-(a+x0)^2/2 sigma^2} times e^{2 a x0/sigma^2} once gave nan and 0
+        assert math.isfinite(w_fn(1.0, 0.05, 5.0))
+        assert w_fn(1.0, 0.05, 5.0) == w_fn(1.0, 0.05, -5.0)
+        # the packet sits on x = a: the second term is erf(0) + erf(4/sqrt2 sigma)
+        assert abs(w_fn(1.0, 0.05, 1.0) - 1.0) < 1e-15
+
+    def test_w_parity_exact(self):
+        for s in (0.05, 0.3, 1.0, 4.0):
+            for x0 in np.linspace(0.0, 100 * s, 201):
+                w = w_fn(1.0, s, x0)
+                assert math.isfinite(w) and w == w_fn(1.0, s, -x0)
 
     def test_v_structure(self):
         assert abs(v_fn(1.0, 1.0, 0.0)) < 1e-15

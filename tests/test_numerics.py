@@ -11,10 +11,12 @@ from ddscatter import (
     Couplings,
     DomainError,
     NoConvergenceError,
+    QuadratureError,
     QuadratureSpec,
     count_zeros,
     erf_complex,
     integrate_1d,
+    integrate_panels,
     k_matrix,
     m22,
     matrix_inv_sqrt,
@@ -116,6 +118,21 @@ class TestIntegrate1d:
         expect = 0.5j * np.exp(-abs(alpha)) * np.sign(alpha)
         # extrapolated regulator error grows toward small |alpha| features
         assert abs(v - expect) < 5e-3
+
+
+class TestIntegratePanels:
+    def test_gaussian_fourier(self):
+        # int e^{-x^2} e^{2ix} dx = sqrt(pi) e^{-1}, tails below 1e-27 dropped
+        v = integrate_panels(lambda x: np.exp(-x * x + 2j * x), -8.0, 8.0, 1.0)
+        assert isinstance(v, complex)
+        assert abs(v - np.sqrt(np.pi) * np.exp(-1)) < 1e-14
+
+    def test_budget_exhausted(self):
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=8)
+        with pytest.raises(QuadratureError) as info:
+            integrate_panels(lambda x: np.exp(-x * x), -8.0, 8.0, 4.0, spec)
+        assert 0 < info.value.error_bound < 1e-3
+        assert abs(info.value.estimate - np.sqrt(np.pi)) < 1e-3
 
 
 class TestMatrixInvSqrt:

@@ -1,15 +1,22 @@
 """Spectral geography: singularities on the real axis, bound states in
 the upper half plane, coupling-plane scans."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import ddscatter
 from ddscatter import (
     ComplexRect,
     Couplings,
+    DomainError,
     ScanMode,
     bound_state_roots,
     count_bound_states,
@@ -217,6 +224,18 @@ class TestScanRegion:
         with pytest.raises(TypeError):
             scan_region(ScanMode("pt_symmetric"), (-0.6, -0.4), (0.0, 0.2), 2, k_max=8.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"k_max": 5e-4}, {"k_max": np.nan}, {"k_max": np.inf}, {"a": 0.0}, {"a": np.inf}],
+    )
+    def test_bad_input_rejected_before_any_cell(self, kwargs, monkeypatch):
+        def no_cell(task):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(spectrum_mod, "_scan_cell", no_cell)
+        with pytest.raises(DomainError):
+            scan_region(ScanMode("pt_symmetric"), (-0.99, -0.01), (-0.4, 0.4), 2, **kwargs)
+
     def test_parallel_matches_serial(self):
         mode = ScanMode("antisymmetric")
         a = scan_region(mode, (0.1, 0.5), (0.1, 0.5), 2, k_max=8.0, jobs=1)
@@ -226,6 +245,20 @@ class TestScanRegion:
                 cb.r, cb.s, cb.n_bound, cb.n_bound_real_energy
             )
             assert ca.spectral_singularities == cb.spectral_singularities
+
+
+def test_import_and_scan_leave_scipy_unloaded():
+    # a fresh interpreter: this one has loaded scipy for the oracles
+    code = (
+        "import sys, ddscatter\n"
+        "ddscatter.scan_region(ddscatter.ScanMode('pt_symmetric'), (-0.6, -0.4), (0.0, 0.2), 2,"
+        " k_max=8.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ddscatter.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestScanModes:
