@@ -260,7 +260,7 @@ def _cmd_verify(args):
         result = run_instance(payload)
         out_path = args.perturbation + ".out.json"
         with open(out_path, "w") as fh:
-            json.dump(result, fh, indent=2)
+            fh.write(json.dumps(result))
         print(f"instance solved; results in {out_path}")
         print(f"pseudo-hermiticity residual: {result['pseudo_hermiticity_residual']:.3e}")
         return EXIT_OK

@@ -71,10 +71,7 @@ def pseudo_hermiticity_residual(c: Couplings, n=400, half_width=8.0, delta_width
     leaves lattice-artifact patterns whose Frobenius norm is linear in
     the coupling; see the weak variant for the O(z^2) statement.
     """
-    x, _ = uniform_grid(n, half_width)
-    H = discretized_hamiltonian(c, x, delta_width)
-    eta = sampled_metric(c, x)
-    R = eta @ H - H.conj().T @ eta
+    _, H, R = _residual_operator(c, n, half_width, delta_width)
     return np.linalg.norm(R) / np.linalg.norm(H)
 
 
@@ -84,11 +81,17 @@ def weak_pseudo_hermiticity_residual(
     """max |<u|(eta H - H^dag eta)|v>| over a fixed family of smooth
     normalized packets: the weak-form realization of the first-order
     pseudo-Hermiticity relation, O(z^2) up to discretization."""
+    x, _, R = _residual_operator(c, n, half_width, delta_width)
+    return _weak_norm(R, x, packets)
+
+
+def _residual_operator(c, n, half_width, delta_width):
+    """Grid x, the discretized H and R = eta H - H^dag eta with the
+    sampled eta."""
     x, _ = uniform_grid(n, half_width)
     H = discretized_hamiltonian(c, x, delta_width)
     eta = sampled_metric(c, x)
-    R = eta @ H - H.conj().T @ eta
-    return _weak_norm(R, x, packets)
+    return x, H, eta @ H - H.conj().T @ eta
 
 
 def _weak_norm(R, x, packets=_TEST_PACKETS):

@@ -238,8 +238,8 @@ def smeared_overlap_check(
         def eval_pair(x):
             # returns (branch1, branch2) smeared amplitudes at x, vectorized
             xs = np.asarray(x, dtype=float)[..., None]
-            f1 = _psi_vec(zp, zm, ks, c.a, xs)
-            f2 = _psi_vec(zp, zm, -ks, c.a, xs)
+            f1 = _psi_raw(zp, zm, ks, c.a, xs)
+            f2 = _psi_raw(zp, zm, -ks, c.a, xs)
             return f1 @ ws, f2 @ ws
 
         return eval_pair
@@ -264,14 +264,3 @@ def smeared_overlap_check(
     )
     norm = np.sqrt(np.pi) * width
     return s / norm
-
-
-def _psi_vec(zp, zm, ks, a, xs):
-    """_psi_raw broadcast over a wave-number axis (last axis)."""
-    e = np.exp(1j * ks * xs)
-    val = (
-        e
-        - (1j * zm / (2 * ks)) * (np.exp(-1j * ks * (xs + 2 * a)) - e) * theta(-xs - a)
-        - (1j * zp / (2 * ks)) * (e - np.exp(-1j * ks * (xs - 2 * a))) * theta(xs - a)
-    )
-    return val / np.sqrt(2 * np.pi)

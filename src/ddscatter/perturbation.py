@@ -12,6 +12,9 @@ Gauge: the diagonal of Q vanishes in the H0 eigenbasis at every order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -41,6 +44,10 @@ _SOLVE_TOL = 1e-8
 
 def _require_hermitian(M, name):
     M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DomainError(f"{name} must be a non-empty square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise DomainError(f"{name} has non-finite entries")
     scale = max(1.0, np.linalg.norm(M))
     if np.linalg.norm(M - M.conj().T) > _HERM_TOL * scale:
         raise DomainError(f"{name} must be Hermitian")
@@ -61,8 +68,19 @@ class PerturbedOperator:
         gens = tuple(_require_hermitian(g, f"H_{i+1}") for i, g in enumerate(self.generators))
         if len(gens) != len(self.couplings):
             raise DomainError("one coupling per generator required")
+        for i, g in enumerate(gens):
+            if g.shape != h0.shape:
+                raise DomainError(f"H_{i+1} has shape {g.shape}, H0 has {h0.shape}")
+        couplings = tuple(complex(z) for z in self.couplings)
+        if not np.isfinite(couplings).all():
+            raise DomainError("couplings must be finite")
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "couplings", tuple(complex(z) for z in self.couplings))
+        object.__setattr__(self, "couplings", couplings)
+
+    @cached_property
+    def h0_eigh(self):
+        """(E, V) of H0, shared by the first- and second-order solves."""
+        return np.linalg.eigh(self.h0)
 
     @property
     def h1(self):
@@ -125,7 +143,7 @@ def solve_q1(p: PerturbedOperator) -> np.ndarray:
     (otherwise the spectrum is complex at first order and no metric
     exists).
     """
-    E, V = np.linalg.eigh(p.h0)
+    E, V = p.h0_eigh
     A = V.conj().T @ p.h1_antihermitian @ V
     scale = max(1.0, np.linalg.norm(A))
     if np.max(np.abs(np.diag(A))) > _DIAG_TOL * scale:
@@ -152,7 +170,7 @@ def solve_q2(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
     """
     q1 = _require_hermitian(q1, "Q1")
     R = -_commutator(p.h1, q1) - 0.5 * _commutator(_commutator(p.h0, q1), q1)
-    E, V = np.linalg.eigh(p.h0)
+    E, V = p.h0_eigh
     R_eig = V.conj().T @ R @ V
     scale = max(1.0, np.linalg.norm(R_eig))
     if np.max(np.abs(np.diag(R_eig))) > _SOLVE_TOL * scale:
@@ -185,8 +203,7 @@ def conjugated_h(p: PerturbedOperator, q: QExpansion) -> np.ndarray:
     residual exhibits the cubic coupling scaling; the closed formula
     equivalent_h agrees with it to the same order.
     """
-    rho = _expm_hermitian(-0.5 * (q.q1 + q.q2))
-    rho_inv = _expm_hermitian(0.5 * (q.q1 + q.q2))
+    rho, rho_inv = _expm_pair_hermitian(-0.5 * (q.q1 + q.q2))
     return rho @ p.total @ rho_inv
 
 
@@ -204,18 +221,21 @@ def map_observable(o: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return o - 0.5 * (c1 + _commutator(o, q2) - 0.25 * _commutator(c1, q1))
 
 
-def _expm_hermitian(A):
-    """exp(A) for Hermitian A via eigendecomposition (positive result)."""
+def _expm_pair_hermitian(A):
+    """(exp(A), exp(-A)) for Hermitian A from one eigendecomposition."""
     w, V = np.linalg.eigh(A)
-    return (V * np.exp(w)) @ V.conj().T
+    Vh = V.conj().T
+    exp_a = (V * np.exp(w)) @ Vh
+    V *= np.exp(-w)  # in place: no third n x n temporary at the peak
+    return exp_a, V @ Vh
 
 
 def eta_from_q(q1: np.ndarray, q2: np.ndarray = None) -> np.ndarray:
     """Positive-definite metric eta = exp(-Q1 - Q2)."""
     q1 = _require_hermitian(q1, "Q1")
     q = q1 if q2 is None else q1 + _require_hermitian(q2, "Q2")
-    eta = _expm_hermitian(-q)
-    check = np.linalg.norm(_expm_hermitian(q) @ eta - np.eye(len(q)))
+    eta, eta_inv = _expm_pair_hermitian(-q)
+    check = np.linalg.norm(eta_inv @ eta - np.eye(len(q)))
     if check > 1e-10 * len(q):
         raise InconsistencyError(f"matrix exponential inversion residual {check:.2e}")
     return eta
@@ -225,12 +245,24 @@ def eta_from_q(q1: np.ndarray, q2: np.ndarray = None) -> np.ndarray:
 
 
 def matrix_to_json(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[[v.real, v.imag] for v in row] for row in M]
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(float).reshape(M.shape + (2,)).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    # the nesting and the number types are checked by passes of map and
+    # the numbers read by one np.fromiter; np.array on the nested lists
+    # is slower than all of them together
+    try:
+        n = len(rows)
+        pairs = list(chain.from_iterable(rows))
+        values = list(chain.from_iterable(pairs))
+        if (set(map(len, rows)) == {n} and set(map(len, pairs)) == {2}
+                and all(issubclass(t, Real) for t in set(map(type, values)))):
+            return np.fromiter(values, float, count=2 * n * n).view(complex).reshape(n, n)
+    except (TypeError, OverflowError):
+        pass
+    raise DomainError("matrix must be n x n [re, im] pairs of real numbers")
 
 
 def run_instance(payload: dict) -> dict:

@@ -252,6 +252,39 @@ class TestVerifyCommand:
         assert np.linalg.norm(q1 - q1.conj().T) < 1e-12
         assert result["pseudo_hermiticity_residual"] < 1e-4
 
+    def test_perturbation_output_is_compact_json_of_result(self, tmp_path):
+        from ddscatter.perturbation import matrix_to_json, run_instance
+
+        rng = np.random.default_rng(4)
+        n = 5
+        A = rng.normal(size=(n, n))
+        S = (A + A.T) / 2
+        np.fill_diagonal(S, 0)
+        payload = {
+            "h0": matrix_to_json(np.diag(np.arange(n) + 0.2)),
+            "generators": [matrix_to_json(S)],
+            "couplings": [[0.0, 0.01]],
+        }
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--perturbation", str(path)]) == 0
+        text = open(str(path) + ".out.json").read()
+        assert "\n" not in text
+        assert json.loads(text) == json.loads(json.dumps(run_instance(payload)))
+
+    @pytest.mark.parametrize("defect", ["nan", "ragged"])
+    def test_bad_perturbation_input_is_usage_error(self, tmp_path, capsys, defect):
+        h0 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        if defect == "nan":
+            h0[0][0][0] = float("nan")
+        else:
+            h0[1] = [[0.0, 0.0]]
+        gen = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"h0": h0, "generators": [gen], "couplings": [[0.0, 0.01]]}))
+        assert main(["verify", "--perturbation", str(path)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
     def test_fast_passes(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         rc = main(["verify", "--level", "fast", "--json", str(report_path)])

@@ -6,6 +6,7 @@ import pytest
 from ddscatter import (
     Couplings,
     DegeneracyError,
+    DomainError,
     InconsistencyError,
     NonQuasiHermitianError,
     PerturbedOperator,
@@ -20,6 +21,7 @@ from ddscatter import (
 from ddscatter.grid import discretized_hamiltonian, uniform_grid
 from ddscatter.kernels import regular_part_grid
 from ddscatter.metric import eta1_bounded
+from ddscatter.perturbation import matrix_from_json, matrix_to_json
 
 
 def solvable_instance(n, z, seed):
@@ -237,6 +239,113 @@ class TestEtaAndObservables:
             return np.linalg.norm(O.conj().T - eta @ O @ np.linalg.inv(eta))
 
         assert resid(1e-2) / resid(5e-3) >= 6.0
+
+
+class TestBoundary:
+    """Bad matrix input raises DomainError before any decomposition."""
+
+    def _parts(self):
+        p = solvable_instance(4, 1e-2, 50)
+        return p.h0.copy(), [g.copy() for g in p.generators], p.couplings
+
+    def test_nan_h0_rejected(self):
+        h0, gens, z = self._parts()
+        h0[1, 1] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            PerturbedOperator(h0, tuple(gens), z)
+
+    def test_inf_generator_rejected(self):
+        h0, gens, z = self._parts()
+        gens[1][0, 2] = np.inf
+        gens[1][2, 0] = np.inf
+        with pytest.raises(DomainError, match="non-finite"):
+            PerturbedOperator(h0, tuple(gens), z)
+
+    def test_non_square_h0_rejected(self):
+        with pytest.raises(DomainError, match="square"):
+            PerturbedOperator(np.zeros((3, 4)), (np.zeros((3, 4)),), (0.01,))
+
+    def test_non_square_generator_rejected(self):
+        h0, _, _ = self._parts()
+        with pytest.raises(DomainError, match="square"):
+            PerturbedOperator(h0, (np.zeros(4),), (0.01,))
+
+    def test_generator_shape_mismatch_rejected(self):
+        h0, _, _ = self._parts()
+        with pytest.raises(DomainError, match="shape"):
+            PerturbedOperator(h0, (np.eye(3),), (0.01,))
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_non_finite_coupling_rejected(self, z):
+        h0, gens, _ = self._parts()
+        with pytest.raises(DomainError, match="finite"):
+            PerturbedOperator(h0, tuple(gens), (0.01, z))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],  # ragged row
+            [[[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]]],  # 1 x 2
+            [[1.0, 0.0], [0.0, 1.0]],  # no [re, im] pairs
+            [[[1.0, "x"], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[[1.0, "1.5"], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],  # a numeric string
+            [["12", "34"], ["56", "78"]],  # pairs as two-character strings
+            [[[10**400, 0.0]]],  # an integer no float can hold
+            [],
+        ],
+    )
+    def test_matrix_from_json_rejects_bad_rows(self, rows):
+        with pytest.raises(DomainError, match=r"\[re, im\] pairs"):
+            matrix_from_json(rows)
+
+
+class TestCost:
+    """The work the perturbation path does is the work its result needs."""
+
+    def test_three_eigendecompositions(self, monkeypatch):
+        # one for H0 (shared by both orders), one per exponential pair
+        p = solvable_instance(8, 1e-2, 60)
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        q1 = solve_q1(p)
+        q2 = solve_q2(p, q1)
+        eta_from_q(q1, q2)
+        conjugated_h(p, QExpansion(q1, q2))
+        assert len(calls) == 3
+
+    def test_json_matches_elementwise_oracle(self):
+        # the element-wise [re, im] comprehension the wire format was
+        # first written with, kept as the oracle for both directions
+        def to_json_oracle(M):
+            return [[[v.real, v.imag] for v in row] for row in np.asarray(M, dtype=complex)]
+
+        def from_json_oracle(rows):
+            return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+
+        rng = np.random.default_rng(61)
+        M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        M[0, 0] = complex(-0.0, -0.0)
+        M[1, 2] = complex(5e-324, -np.nextafter(0.0, 1.0) * 7)
+        M[3, 4] = complex(1e300, -1e300)
+        M = M.T  # a non-contiguous input
+
+        def bits(rows):
+            return np.array(rows, dtype=float).view(np.uint64)
+
+        rows = matrix_to_json(M)
+        assert np.array_equal(bits(rows), bits(to_json_oracle(M)))
+        back = matrix_from_json(rows)
+        oracle = from_json_oracle(to_json_oracle(M))
+        assert back.shape == oracle.shape == M.shape
+        assert np.array_equal(back.view(np.uint64), oracle.view(np.uint64))
+        assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(M).view(np.uint64))
 
 
 @pytest.mark.slow
