@@ -73,7 +73,6 @@ from .numerics import (
     count_zeros,
     erf_complex,
     integrate_1d,
-    integrate_oscillatory,
     integrate_panels,
     matrix_inv_sqrt,
     refine_root,

@@ -256,7 +256,10 @@ def _cmd_verify(args):
         from .perturbation import run_instance
 
         with open(args.perturbation) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise DomainError(f"{args.perturbation} is not JSON text: {exc}") from exc
         result = run_instance(payload)
         out_path = args.perturbation + ".out.json"
         with open(out_path, "w") as fh:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedCouplingError
 from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm, _panel_width
 from .model import Couplings, theta
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_1d, integrate_panels
+from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_panels
 
 __all__ = [
     "GaussianPacket",
@@ -191,9 +191,11 @@ def apply_h(
 ) -> ApplyHResult:
     """(h psi)(x) with the distributional pieces reported separately.
 
-    psi must be twice differentiable at x; supply psi_dd or use a packet
-    exposing ``second_derivative``.  The two window integrals are done by
-    quadrature.  Outside |x| <= 3a the regular part is exactly -psi''(x).
+    psi must be array-callable (a float ndarray in, an ndarray of the same
+    shape out) and twice differentiable at x; supply psi_dd or use a
+    packet exposing ``second_derivative``.  The two window integrals are
+    energy_quadrature's.  Outside |x| <= 3a the regular part is exactly
+    -psi''(x).
     """
     _require_class(c)
     a = c.a
@@ -203,9 +205,7 @@ def apply_h(
     if psi_dd is None:
         raise DomainError("supply psi_dd (second derivative) for plain callables")
 
-    int_m = integrate_1d(psi, -a, 3 * a, spec)   # over (-a, 3a)
-    int_p = integrate_1d(psi, -3 * a, a, spec)   # over (-3a, a)
-
+    int_m, int_p = _windows(psi, a, spec)
     regular = -psi_dd(x) + (lam2 / 8) * (
         (theta(x + a) - theta(x - 3 * a)) * psi(-a)
         + (theta(x + 3 * a) - theta(x - a)) * psi(a)
@@ -217,6 +217,19 @@ def apply_h(
 
 # a kernel without terms: _panel_width then sees the packet's scales only
 _NO_TERMS = DistributionalKernel()
+
+
+def _panel_integral(f, psi, lo, hi, spec):
+    """int_lo^hi f by numerics.integrate_panels, from the coarsest panel
+    width kernel_pair uses for psi."""
+    h = _panel_width(_NO_TERMS, (psi,), lo, hi, spec)
+    return integrate_panels(f, lo, hi, h, spec)
+
+
+def _windows(psi, a, spec):
+    """int psi over (-a, 3a) and over (-3a, a), the windows of h's
+    nonlocal part."""
+    return _panel_integral(psi, psi, -a, 3 * a, spec), _panel_integral(psi, psi, -3 * a, a, spec)
 
 
 def energy_quadrature(
@@ -238,21 +251,17 @@ def energy_quadrature(
     """
     _require_class(c)
     a = c.a
-
-    def integral(f, lo, hi):
-        h = _panel_width(_NO_TERMS, (packet,), lo, hi, spec)
-        return integrate_panels(f, lo, hi, h, spec)
-
-    kinetic = integral(
+    kinetic = _panel_integral(
         lambda x: np.abs(packet.derivative(x)) ** 2,
+        packet,
         packet.x0 - 14 * packet.sigma,
         packet.x0 + 14 * packet.sigma,
+        spec,
     ).real
     local = (
         c.z_plus.real * abs(packet(a)) ** 2 + c.z_minus.real * abs(packet(-a)) ** 2
     )
-    int_m = integral(packet, -a, 3 * a)
-    int_p = integral(packet, -3 * a, a)
+    int_m, int_p = _windows(packet, a, spec)
     lam2 = c.z_plus.imag ** 2
     nonloc = (lam2 / 4) * (
         np.conj(packet(-a)) * int_m + np.conj(packet(a)) * int_p
@@ -309,10 +318,10 @@ def w_fn(a: float, sigma: float, x0: float) -> float:
         raise DomainError("sigma must be positive")
     s = _SQRT2 * sigma
 
-    def term(u, v):
+    def part(u, v):
         return math.exp(-((u / s) ** 2)) * (math.erf(u / s) + math.erf(v / s))
 
-    return term(a + x0, 3 * a - x0) + term(a - x0, 3 * a + x0)
+    return part(a + x0, 3 * a - x0) + part(a - x0, 3 * a + x0)
 
 
 def energy_gaussian(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:

@@ -113,10 +113,6 @@ class KernelTerm:
         return tuple(f for f in self.factors if f.kind != "dirac")
 
 
-def term(coefficient, *factors) -> KernelTerm:
-    return KernelTerm(complex(coefficient), tuple(factors))
-
-
 @dataclass(frozen=True)
 class DistributionalKernel:
     """delta(x-y)-diagonal parts plus a finite list of product terms.

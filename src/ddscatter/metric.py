@@ -13,7 +13,8 @@ Four routes to a metric live here:
 
 The I_{n,m} integral family (rational-times-plane-wave Fourier integrals)
 underlying the alternative kernel is exposed with both closed forms and a
-quadrature cross-check.
+quadrature cross-check, and the alternative kernel's packet pairings with
+their k-space oracle, the weighted spectral integral.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .kernels import (
     _panel_width,
     hermitian_completion,
 )
-from .model import Couplings, k_matrix, theta
+from .hermitianize import gaussian_segment_integral
+from .model import Couplings, _psi_raw, k_matrix
 from .numerics import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    integrate_oscillatory,
+    integrate_1d,
     matrix_inv_sqrt,
 )
 
@@ -43,12 +45,17 @@ __all__ = [
     "AppendixAParams",
     "eta1_bounded",
     "eta1_appendixA",
+    "appendixA_weighted_overlap",
     "inm",
     "inm_quadrature",
     "u_inverse_sqrt_route",
     "spectral_metric_estimate",
     "metric_de_residual",
 ]
+
+
+# tolerances of the k-space oracles below
+_SPECTRAL_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=800)
 
 
 def _prim(kind, arg, shift=0.0, rate=0.0):
@@ -197,6 +204,45 @@ def eta1_appendixA(p: AppendixAParams) -> DistributionalKernel:
     return hermitian_completion(half)
 
 
+def appendixA_weighted_overlap(p: AppendixAParams, g) -> complex:
+    """<g| eta |g> from the weighted spectral representation: the k-space
+    oracle for pairings of eta1_appendixA with a GaussianPacket g.
+
+    Integrates the rational weight times |<g | psi^{z*}_k>|^2 over the
+    signed wave-number line, the overlaps from the packet's erf segment
+    integrals.  It shares no code with the x-space kernel and stays on
+    QUADPACK (numerics.integrate_1d), a different rule from the panels
+    kernel_pair uses.
+    """
+    rho = p.rho_a
+    e1, e2 = p.eps1, p.eps2
+    a = p.a
+    zp, zm = np.conj(p.z_plus), np.conj(p.z_minus)
+
+    def W(k):
+        kap2 = (rho * k) ** 2
+        return kap2 / (1 + kap2) * (1 + e2 / (1 + kap2) - e1**2 / (2 * (1 + kap2) ** 2))
+
+    def overlap(k):
+        free = gaussian_segment_integral(g, -np.inf, np.inf, phase=k)
+        left = -(1j * zm / (2 * k)) * (
+            np.exp(-2j * k * a) * gaussian_segment_integral(g, -np.inf, -a, phase=-k)
+            - gaussian_segment_integral(g, -np.inf, -a, phase=k)
+        )
+        right = -(1j * zp / (2 * k)) * (
+            gaussian_segment_integral(g, a, np.inf, phase=k)
+            - np.exp(2j * k * a) * gaussian_segment_integral(g, a, np.inf, phase=-k)
+        )
+        return np.conj(free + left + right) / np.sqrt(2 * np.pi)
+
+    def f(k):
+        return W(k) * abs(overlap(k)) ** 2
+
+    # the coupling terms leave algebraic 1/k^4 tails (finite integration
+    # windows), so integrate the whole half line
+    return integrate_1d(lambda k: f(k) + f(-k), 1e-9, np.inf, _SPECTRAL_SPEC)
+
+
 def inm(n: int, m: int, alpha: float):
     """Closed form of I_{n,m}(alpha) = (1/2pi) int k^{2-n} e^{ik alpha}
     (1+k^2)^{-m} dk as (delta_coefficient, regular_part).
@@ -291,35 +337,32 @@ def u_inverse_sqrt_route(c: Couplings, k: float, verify_tol: float = 1e-10):
 
 def _first_order_weight(x, k, a):
     """Coefficient of z^* in the first-order biorthonormal eigenfunction
-    family (times sqrt(2 pi) e^{-ikx} stripped): the combination of the
-    conjugated eigenfunction correction and the mixing matrix.
+    family (times sqrt(2 pi) e^{-ikx} stripped): the conjugated
+    eigenfunction's reflected pieces at z_pm^* = +-1 plus the mixing
+    matrix's two terms.
     """
-    th = theta
-    g = (1j / (2 * k)) * (
-        (np.exp(-1j * k * (x + 2 * a)) - np.exp(1j * k * x)) * th(-x - a)
-        - (np.exp(1j * k * x) - np.exp(-1j * k * (x - 2 * a))) * th(x - a)
-    )
-    return g + (1j / (2 * k)) * np.exp(1j * k * x) - (1j * np.cos(2 * a * k) / (2 * k)) * np.exp(
-        -1j * k * x
-    )
+    e = np.exp(1j * k * x)
+    reflected = np.sqrt(2 * np.pi) * _psi_raw(1.0, -1.0, k, a, x) - e
+    mixing = (1j / (2 * k)) * e - (1j * np.cos(2 * a * k) / (2 * k)) * np.exp(-1j * k * x)
+    return reflected + mixing
+
+
+# Gaussian regulator exp(-eps k^2) on the ladder eps in {4, 2, 1} * 0.01,
+# each k-integral cut at 9/sqrt(eps); the regulator is removed by
+# second-order Richardson extrapolation
+_REGULATOR = 0.01
 
 
 def spectral_metric_estimate(
-    c: Couplings,
-    x: float,
-    y: float,
-    spec: QuadratureSpec = None,
-    order: str = "first",
+    c: Couplings, x: float, y: float, spec: QuadratureSpec = _SPECTRAL_SPEC
 ):
     """Regulated spectral estimate of the metric kernel's regular part.
 
-    Integrates the first-order biorthonormal family over both degeneracy
-    branches (one integral over the signed wave-number line) with the
-    Gaussian regulator ladder eps in {0.04, 0.02, 0.01} and Richardson
-    extrapolation.  With order='first' the integrand is linearized in z
-    and the result converges to the regular part of eta1_bounded; with
-    order='full' the quadratic-in-z product is kept and the regulated
-    free-particle delta spike is subtracted instead.
+    Integrates the first-order biorthonormal family, linearized in z,
+    over both degeneracy branches (one integral over the signed
+    wave-number line) with the Gaussian regulator ladder eps in
+    {0.04, 0.02, 0.01} and Richardson extrapolation; the result
+    converges to the regular part of eta1_bounded.
 
     Only defined on the construction class z_+ = -z_-.  (x, y) must stay
     at least 0.05 away from the kernel's discontinuity lines.
@@ -333,30 +376,22 @@ def spectral_metric_estimate(
     for u in (x - y, x + y + 2 * a, x + y - 2 * a):
         if abs(u) < 0.05:
             raise DomainError("(x, y) closer than 0.05 to a kernel discontinuity line")
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=800,
-                              oscillatory_regulator=0.01)
     z = c.z_plus
     zc = np.conj(z)
 
-    if order == "first":
-        def f(k):
-            return (
-                zc * _first_order_weight(x, k, a) * np.exp(-1j * k * y)
-                + z * np.conj(_first_order_weight(y, k, a)) * np.exp(1j * k * x)
-            ) / (2 * np.pi)
+    def f(k):
+        return (
+            zc * _first_order_weight(x, k, a) * np.exp(-1j * k * y)
+            + z * np.conj(_first_order_weight(y, k, a)) * np.exp(1j * k * x)
+        ) / (2 * np.pi)
 
-        return integrate_oscillatory(f, spec)
+    def regulated(eps):
+        return integrate_1d(
+            lambda k: (f(k) + f(-k)) * np.exp(-eps * k * k), 1e-9, 9.0 / np.sqrt(eps), spec
+        )
 
-    if order == "full":
-        def f(k):
-            px = np.exp(1j * k * x) + zc * _first_order_weight(x, k, a)
-            py = np.exp(1j * k * y) + zc * _first_order_weight(y, k, a)
-            return (px * np.conj(py) - np.exp(1j * k * (x - y))) / (2 * np.pi)
-
-        return integrate_oscillatory(f, spec)
-
-    raise DomainError("order must be 'first' or 'full'")
+    i4, i2, i1 = (regulated(m * _REGULATOR) for m in (4, 2, 1))
+    return (8.0 * i1 - 6.0 * i2 + i4) / 3.0
 
 
 def metric_de_residual(

@@ -1,9 +1,9 @@
 """Self-contained numerical kernel.
 
-Complex error function, adaptive quadrature (finite, infinite and
-regulated-oscillatory 1D integrals), composite Gauss-Legendre panels for
-smooth array integrands, principal inverse square root of 2x2 matrices,
-complex Newton refinement, and argument-principle zero counting on
+Complex error function, adaptive quadrature (finite and infinite 1D
+integrals), composite Gauss-Legendre panels for smooth array
+integrands, principal inverse square root of 2x2 matrices, complex
+Newton refinement, and argument-principle zero counting on
 rectangular contours.  Everything here is pure and reentrant.  scipy is
 imported only by the routines that call it (erf_complex, integrate_1d),
 so importing the package does not load it.
@@ -32,7 +32,6 @@ __all__ = [
     "QuadratureSpec",
     "erf_complex",
     "integrate_1d",
-    "integrate_oscillatory",
     "integrate_panels",
     "matrix_inv_sqrt",
     "count_zeros",
@@ -62,15 +61,16 @@ class ComplexRect:
             complex(self.re_min, self.im_max),
         )
 
-    def split(self):
-        """Halve along the longer side; counts must add over the parts."""
+    def split(self, frac=0.5):
+        """Cut the longer side at lo + frac * (hi - lo); counts must add
+        over the two parts."""
         if (self.re_max - self.re_min) >= (self.im_max - self.im_min):
-            mid = 0.5 * (self.re_min + self.re_max)
+            mid = self.re_min + frac * (self.re_max - self.re_min)
             return (
                 ComplexRect(self.re_min, mid, self.im_min, self.im_max),
                 ComplexRect(mid, self.re_max, self.im_min, self.im_max),
             )
-        mid = 0.5 * (self.im_min + self.im_max)
+        mid = self.im_min + frac * (self.im_max - self.im_min)
         return (
             ComplexRect(self.re_min, self.re_max, self.im_min, mid),
             ComplexRect(self.re_min, self.re_max, mid, self.im_max),
@@ -85,28 +85,19 @@ class ComplexRect:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for the quadrature routines.
-
-    ``oscillatory_regulator`` is the Gaussian damping rate eps used for
-    conditionally convergent k-integrals: the integrand is multiplied by
-    exp(-eps*k^2) and the limit eps -> 0 is taken by Richardson
-    extrapolation over {4 eps, 2 eps, eps}.
-    """
+    """Tolerances and budget for the quadrature routines."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 400
-    oscillatory_regulator: float = 0.01
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.abs_tol, self.rel_tol, self.oscillatory_regulator])):
-            raise DomainError("tolerances and regulator must be finite")
+        if not np.all(np.isfinite([self.abs_tol, self.rel_tol])):
+            raise DomainError("tolerances must be finite")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be a positive integer")
-        if self.oscillatory_regulator < 0:
-            raise DomainError("oscillatory_regulator must be nonnegative")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -162,34 +153,6 @@ def integrate_1d(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
             error_bound=bound,
         )
     return val
-
-
-def _regulated(f, eps, spec, points):
-    cut = 9.0 / np.sqrt(eps)
-    return integrate_1d(
-        lambda k: (f(k) + f(-k)) * np.exp(-eps * k * k),
-        1e-9,
-        cut,
-        spec,
-        points=points,
-    )
-
-
-def integrate_oscillatory(f, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
-    """Regulated integral of f over the whole real line.
-
-    For integrands that decay too slowly for absolute convergence
-    (oscillatory 1/k tails), computes int f(k) exp(-eps k^2) dk on the
-    ladder eps in {4 e0, 2 e0, e0} and removes the regulator by second
-    order Richardson extrapolation.
-    """
-    e0 = spec.oscillatory_regulator
-    if e0 == 0:
-        return integrate_1d(lambda k: f(k) + f(-k), 1e-9, np.inf, spec)
-    i4 = _regulated(f, 4 * e0, spec, points)
-    i2 = _regulated(f, 2 * e0, spec, points)
-    i1 = _regulated(f, e0, spec, points)
-    return (8.0 * i1 - 6.0 * i2 + i4) / 3.0
 
 
 # 12 nodes on panels two length scales wide integrate a Gaussian packet

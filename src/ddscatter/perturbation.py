@@ -272,10 +272,16 @@ def run_instance(payload: dict) -> dict:
     (list of [re, im]).  Returns Q1, Q2, the equivalent Hermitian matrix,
     the metric, and the pseudo-Hermiticity residuals.
     """
+    try:
+        h0, generators = payload["h0"], tuple(payload["generators"])
+        couplings = tuple(complex(re, im) for re, im in payload["couplings"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(
+            'instance must be an object with "h0", "generators" (a list of matrices) '
+            f'and "couplings" (a list of [re, im] pairs of real numbers): {exc!r}'
+        ) from exc
     p = PerturbedOperator(
-        matrix_from_json(payload["h0"]),
-        tuple(matrix_from_json(g) for g in payload["generators"]),
-        tuple(complex(re, im) for re, im in payload["couplings"]),
+        matrix_from_json(h0), tuple(matrix_from_json(g) for g in generators), couplings
     )
     q1 = solve_q1(p)
     q2 = solve_q2(p, q1)

@@ -197,7 +197,8 @@ def _isolate(f, rect, n, out, depth):
     if depth <= 0:
         return
     for attempt in range(5):
-        parts = _jittered_split(rect, seed=depth * 5 + attempt)
+        # split off-centre, by an amount that changes from try to try
+        parts = rect.split(0.5 + 0.017 * ((depth * 5 + attempt) % 7 - 3))
         try:
             counts = [count_zeros(f, p) for p in parts]
         except ContourError:
@@ -206,22 +207,6 @@ def _isolate(f, rect, n, out, depth):
             for part, cnt in zip(parts, counts):
                 _isolate(f, part, cnt, out, depth - 1)
             return
-
-
-def _jittered_split(rect, seed=0):
-    wide = (rect.re_max - rect.re_min) >= (rect.im_max - rect.im_min)
-    frac = 0.5 + 0.017 * ((seed % 7) - 3)
-    if wide:
-        mid = rect.re_min + frac * (rect.re_max - rect.re_min)
-        return (
-            ComplexRect(rect.re_min, mid, rect.im_min, rect.im_max),
-            ComplexRect(mid, rect.re_max, rect.im_min, rect.im_max),
-        )
-    mid = rect.im_min + frac * (rect.im_max - rect.im_min)
-    return (
-        ComplexRect(rect.re_min, rect.re_max, rect.im_min, mid),
-        ComplexRect(rect.re_min, rect.re_max, mid, rect.im_max),
-    )
 
 
 def _scan_cell(args):

@@ -27,7 +27,7 @@ from . import perturbation as pert
 from . import spectrum as spec
 from .kernels import kernel_eval
 from .model import Couplings, ScatteringBranch
-from .numerics import ComplexRect, QuadratureSpec
+from .numerics import ComplexRect
 
 FAST, FULL = "fast", "full"
 
@@ -278,7 +278,7 @@ def check_appendixA_spectral_oracle():
         p = metricmod.AppendixAParams(1.0, 0.8, eps[0], eps[1], 1.1, 1.0)
         kern = metricmod.eta1_appendixA(p)
         lhs = kernel_pair(kern, g, g)
-        rhs = _appendixA_weighted_overlap(p, g)
+        rhs = metricmod.appendixA_weighted_overlap(p, g)
         d = abs(lhs - rhs)
         if tol_slot == 0:
             worst0 = max(worst0, d)
@@ -286,47 +286,6 @@ def check_appendixA_spectral_oracle():
             worst1 = max(worst1, d)
     ok = worst0 <= 1e-6 and worst1 <= 5e-3
     return ok, f"eps=0 diff {worst0:.2e} (<=1e-6), eps=0.1 diff {worst1:.2e} (<=5e-3)"
-
-
-def _appendixA_weighted_overlap(p, g):
-    """<g| eta |g> from the weighted spectral representation."""
-    rho = p.rho_a
-    e1, e2 = p.eps1, p.eps2
-    c_conj = Couplings(np.conj(p.z_plus), np.conj(p.z_minus), p.a)
-
-    def W(k):
-        kap2 = (rho * k) ** 2
-        return kap2 / (1 + kap2) * (1 + e2 / (1 + kap2) - e1**2 / (2 * (1 + kap2) ** 2))
-
-    def overlap(k):
-        # <g | psi^{z*}_{1,k}> via erf segment integrals
-        a = p.a
-        zp, zm = c_conj.z_plus, c_conj.z_minus
-        free = herm.gaussian_segment_integral(g, -np.inf, np.inf, phase=k)
-        left = (
-            -(1j * zm / (2 * k))
-            * (
-                np.exp(-2j * k * a) * herm.gaussian_segment_integral(g, -np.inf, -a, phase=-k)
-                - herm.gaussian_segment_integral(g, -np.inf, -a, phase=k)
-            )
-        )
-        right = (
-            -(1j * zp / (2 * k))
-            * (
-                herm.gaussian_segment_integral(g, a, np.inf, phase=k)
-                - np.exp(2j * k * a) * herm.gaussian_segment_integral(g, a, np.inf, phase=-k)
-            )
-        )
-        return np.conj(free + left + right) / np.sqrt(2 * np.pi)
-
-    def f(k):
-        ov = overlap(k)
-        return W(k) * (abs(ov) ** 2)
-
-    # algebraic 1/k^4 tails from the finite windows: integrate to infinity
-    val = num.integrate_1d(lambda k: f(k) + f(-k), 1e-9, np.inf,
-                           QuadratureSpec(1e-11, 1e-11, 800))
-    return val
 
 
 def check_spectral_estimate():

@@ -272,16 +272,28 @@ class TestVerifyCommand:
         assert "\n" not in text
         assert json.loads(text) == json.loads(json.dumps(run_instance(payload)))
 
-    @pytest.mark.parametrize("defect", ["nan", "ragged"])
+    @pytest.mark.parametrize(
+        "defect", ["nan", "ragged", "no-generators", "short-coupling", "list", "not-json"]
+    )
     def test_bad_perturbation_input_is_usage_error(self, tmp_path, capsys, defect):
         h0 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         if defect == "nan":
             h0[0][0][0] = float("nan")
-        else:
+        elif defect == "ragged":
             h0[1] = [[0.0, 0.0]]
         gen = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        payload = {"h0": h0, "generators": [gen], "couplings": [[0.0, 0.01]]}
+        if defect == "no-generators":
+            del payload["generators"]
+        elif defect == "short-coupling":
+            payload["couplings"] = [[0.1]]
+        elif defect == "list":
+            payload = [payload]
+        text = json.dumps(payload)
+        if defect == "not-json":
+            text = text[:-1]
         path = tmp_path / "instance.json"
-        path.write_text(json.dumps({"h0": h0, "generators": [gen], "couplings": [[0.0, 0.01]]}))
+        path.write_text(text)
         assert main(["verify", "--perturbation", str(path)]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 

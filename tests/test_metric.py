@@ -17,14 +17,11 @@ from ddscatter import (
     inm_quadrature,
     k_matrix,
     kernel_eval,
-    kernel_pair,
     metric_de_residual,
     spectral_metric_estimate,
     u_inverse_sqrt_route,
 )
-from ddscatter.hermitianize import gaussian_segment_integral
 from ddscatter.model import theta
-from ddscatter.numerics import QuadratureSpec, integrate_1d
 
 
 class TestEta1Bounded:
@@ -130,17 +127,6 @@ class TestAppendixA:
             ref = _partial_sum_kernel(p, x, y)
             assert abs(kernel_eval(kern, x, y) - ref) < 1e-13
 
-    @pytest.mark.slow
-    def test_weighted_spectral_oracle(self):
-        # pairing against packets matches the defining weighted spectral
-        # integral: exact at eps=0, within O(eps^2) at eps=0.1
-        g = GaussianPacket(1.0, 0.4, 0.1)
-        for eps, tol in ((0.0, 1e-6), (0.1, 5e-3)):
-            p = AppendixAParams(1.0, 0.8, eps, eps, 1.1, 1.0)
-            lhs = kernel_pair(eta1_appendixA(p), g, g)
-            rhs = _weighted_overlap(p, g)
-            assert abs(lhs - rhs) <= tol, (eps, abs(lhs - rhs))
-
 
 def _i11(u):
     return 0.5j * np.exp(-abs(u)) * np.sign(u)
@@ -176,40 +162,6 @@ def _partial_sum_kernel(p, x, y):
         return t
 
     return one_sided(x, y) + np.conj(one_sided(y, x))
-
-
-def _weighted_overlap(p, g):
-    """<g|eta|g> from the weighted spectral representation (conjugated
-    eigenfunctions, rational weight)."""
-    rho = p.rho_a
-    e1, e2 = p.eps1, p.eps2
-    a = p.a
-    zp, zm = np.conj(p.z_plus), np.conj(p.z_minus)
-
-    def W(k):
-        kap2 = (rho * k) ** 2
-        return kap2 / (1 + kap2) * (1 + e2 / (1 + kap2) - e1**2 / (2 * (1 + kap2) ** 2))
-
-    def overlap(k):
-        free = gaussian_segment_integral(g, -np.inf, np.inf, phase=k)
-        left = -(1j * zm / (2 * k)) * (
-            np.exp(-2j * k * a) * gaussian_segment_integral(g, -np.inf, -a, phase=-k)
-            - gaussian_segment_integral(g, -np.inf, -a, phase=k)
-        )
-        right = -(1j * zp / (2 * k)) * (
-            gaussian_segment_integral(g, a, np.inf, phase=k)
-            - np.exp(2j * k * a) * gaussian_segment_integral(g, a, np.inf, phase=-k)
-        )
-        return np.conj(free + left + right) / np.sqrt(2 * np.pi)
-
-    def f(k):
-        return W(k) * abs(overlap(k)) ** 2
-
-    # the coupling terms leave algebraic 1/k^4 tails (finite integration
-    # windows), so integrate the whole half line
-    return integrate_1d(
-        lambda k: f(k) + f(-k), 1e-9, np.inf, QuadratureSpec(1e-11, 1e-11, 800)
-    )
 
 
 class TestInm:

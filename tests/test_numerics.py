@@ -101,23 +101,11 @@ class TestIntegrate1d:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"abs_tol": np.nan}, {"rel_tol": np.inf}, {"oscillatory_regulator": np.nan}],
+        [{"abs_tol": np.nan}, {"rel_tol": np.inf}],
     )
     def test_non_finite_spec_rejected(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureSpec(**kwargs)
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, -2.0])
-    def test_oscillatory_regulated(self, alpha):
-        # conditionally convergent: (1/2pi) int k e^{ik alpha}/(1+k^2) dk
-        # = (i/2) e^{-|alpha|} sign(alpha)
-        from ddscatter import integrate_oscillatory
-
-        f = lambda k: k * np.exp(1j * k * alpha) / (1 + k * k) / (2 * np.pi)
-        v = integrate_oscillatory(f, QuadratureSpec(1e-11, 1e-11, 800, 0.01))
-        expect = 0.5j * np.exp(-abs(alpha)) * np.sign(alpha)
-        # extrapolated regulator error grows toward small |alpha| features
-        assert abs(v - expect) < 5e-3
 
 
 class TestIntegratePanels:
