@@ -250,8 +250,6 @@ def _cmd_inm(args):
 
 
 def _cmd_verify(args):
-    from .verify import run_verify
-
     if args.perturbation:
         from .perturbation import run_instance
 
@@ -267,6 +265,8 @@ def _cmd_verify(args):
         print(f"instance solved; results in {out_path}")
         print(f"pseudo-hermiticity residual: {result['pseudo_hermiticity_residual']:.3e}")
         return EXIT_OK
+
+    from .verify import run_verify
 
     ok, report = run_verify(args.level)
     for check in report["checks"]:

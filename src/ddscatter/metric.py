@@ -287,22 +287,13 @@ def inm_quadrature(n: int, m: int, alpha: float):
     if n not in (0, 1, 2) or m not in (1, 2, 3):
         raise DomainError("inm defined for n in 0..2, m in 1..3")
 
-    if n == 0 and m == 1:
+    if (n, m) == (0, 1):
         # k^2/(1+k^2) = 1 - 1/(1+k^2); the 1 is the delta, integrate the rest
-        if alpha == 0.0:
-            val = _quiet_quad(
-                lambda k: -1.0 / (1 + k * k), 0, np.inf,
-                limit=400, epsabs=1e-13, epsrel=1e-13,
-            )
-        else:
-            val = _quiet_quad(
-                lambda k: -1.0 / (1 + k * k), 0, np.inf,
-                weight="cos", wvar=alpha, limit=400, epsabs=1e-13,
-            )
-        return val / np.pi
-
-    def base(k):
-        return k ** (2 - n) / (1 + k * k) ** m
+        def base(k):
+            return -1.0 / (1 + k * k)
+    else:
+        def base(k):
+            return k ** (2 - n) / (1 + k * k) ** m
 
     if alpha == 0.0:
         if n % 2 == 1:

@@ -1,9 +1,12 @@
 """Named verification suites behind the ``verify`` CLI command.
 
 Each check is a small self-contained validation of one documented
-invariant, returning (passed, detail).  The fast level finishes in well
-under a minute and skips the 2D-quadrature and spectral-integral oracles;
-the full level runs everything.
+invariant, returning (passed, detail).  ``CHECKS`` is the one place each
+named invariant is asserted: ``tests/test_verify.py`` runs every entry as
+its own test id, and the acceptance criteria run theirs by name, so a
+new invariant is added here rather than as a hand-written test.  The fast
+level finishes in well under a minute and skips the 2D-quadrature and
+spectral-integral oracles; the full level runs everything.
 
 The grid-level Frobenius pseudo-Hermiticity check is reported but does
 not gate the exit status: pointwise sampling of a discontinuous kernel
@@ -25,6 +28,7 @@ from . import model as modelmod
 from . import numerics as num
 from . import perturbation as pert
 from . import spectrum as spec
+from .errors import DomainError
 from .kernels import kernel_eval
 from .model import Couplings, ScatteringBranch
 from .numerics import ComplexRect
@@ -46,16 +50,22 @@ def check_erf_symmetries():
     return ok, f"odd {odd:.2e}, conj {conj:.2e} (relative)"
 
 
-def check_erf_quadrature():
-    # defining integral along the straight segment 0 -> w
-    def oracle(w):
-        val = num.integrate_1d(lambda t: np.exp(-((w * t) ** 2)), 0.0, 1.0)
-        return 2.0 / np.sqrt(np.pi) * w * val
+def erf_segment_oracle(w):
+    """Independent oracle for erf: the defining integral along the straight
+    segment 0 -> w, by adaptive quadrature."""
+    val = num.integrate_1d(lambda t: np.exp(-((w * t) ** 2)), 0.0, 1.0)
+    return 2.0 / np.sqrt(np.pi) * w * val
 
+
+def check_erf_quadrature():
+    rng = np.random.default_rng(1)
+    points = [1.0, 1j, 0.7 + 1.3j, -2.1 + 0.4j, 3.0 - 2.0j]
+    points += [complex(re, im) for re, im in rng.uniform(-4, 4, (20, 2))]
     worst = 0.0
-    for w in (1.0, 1j, 0.7 + 1.3j, -2.1 + 0.4j, 3.0 - 2.0j):
-        worst = max(worst, abs(num.erf_complex(w) - oracle(w)) / max(1.0, abs(oracle(w))))
-    return worst <= 1e-12, f"worst rel {worst:.2e}"
+    for w in points:
+        ref = erf_segment_oracle(w)
+        worst = max(worst, abs(num.erf_complex(w) - ref) / max(1.0, abs(ref)))
+    return worst <= 1e-12, f"worst rel {worst:.2e} over {len(points)} points"
 
 
 def check_inv_sqrt():
@@ -69,12 +79,16 @@ def check_inv_sqrt():
 
 
 def check_count_zeros_additivity():
-    f = lambda k: (k - (1 + 1j)) * (k - (0.4 + 0.3j)) * (k * k + 4)
-    rect = ComplexRect(-1.0, 2.3, 0.1, 2.7)
-    total = num.count_zeros(f, rect)
-    a, b = rect.split()
-    parts = num.count_zeros(f, a) + num.count_zeros(f, b)
-    return total == parts == 3, f"total {total}, split sum {parts}"
+    counts = []
+    for root, rect in (
+        (0.4 + 0.3j, ComplexRect(-1.0, 2.3, 0.1, 2.7)),
+        (0.3 + 0.4j, ComplexRect(-1.0, 2.2, 0.1, 2.6)),
+    ):
+        f = lambda k, r=root: (k - (1 + 1j)) * (k - r) * (k * k + 4)
+        a, b = rect.split()
+        counts.append((num.count_zeros(f, rect), num.count_zeros(f, a) + num.count_zeros(f, b)))
+    ok = all(total == parts == 3 for total, parts in counts)
+    return ok, "; ".join(f"total {t}, split sum {s}" for t, s in counts)
 
 
 def check_i22_quadrature():
@@ -131,21 +145,26 @@ def check_psi_continuity():
         )
         s = ScatteringBranch(int(rng.integers(1, 3)), float(rng.uniform(0.2, 3.0)))
         for edge in (-c.a, c.a):
-            lo = modelmod.psi_eval(c, s, edge - 1e-9)
-            hi = modelmod.psi_eval(c, s, edge + 1e-9)
+            lo = modelmod.psi_eval(c, s, edge - 1e-10)
+            hi = modelmod.psi_eval(c, s, edge + 1e-10)
             worst = max(worst, abs(hi - lo))
-    return worst <= 1e-8, f"worst jump {worst:.2e}"
+    return worst <= 1e-9, f"worst jump {worst:.2e} across x = +-a +- 1e-10"
 
 
 def check_transfer_asymptotics():
+    # random couplings at one real and one complex (Im k in [0, 0.5]) wave
+    # number each, plus the real antisymmetric point z = 0.3 at k = 1
     rng = np.random.default_rng(13)
-    worst_det = worst_asym = 0.0
+    cases = [(Couplings(0.3, -0.3, 1.0), 1.0)]
     for _ in range(50):
         c = Couplings(
             complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()),
             float(rng.uniform(0.4, 2.0)),
         )
-        k = float(rng.uniform(0.3, 3.0))
+        cases.append((c, float(rng.uniform(0.3, 3.0))))
+        cases.append((c, complex(rng.uniform(0.3, 3.0), rng.uniform(0.0, 0.5))))
+    worst_det = worst_asym = 0.0
+    for c, k in cases:
         M = modelmod.transfer_matrix(c, k)
         worst_det = max(worst_det, abs(np.linalg.det(M) - 1))
         # amplitudes of psi_1 to the left and right of the wells
@@ -160,10 +179,13 @@ def check_transfer_asymptotics():
 
 
 def check_hermitian_limit_psi():
-    c = Couplings(0.7, -0.4, 1.3)
-    s = ScatteringBranch(1, 0.9)
-    xs = np.linspace(-4, 4, 41)
-    d = np.max(np.abs(modelmod.psi_eval(c, s, xs) - modelmod.psi_conj_eval(c, s, xs)))
+    d = 0.0
+    for c, s, n in (
+        (Couplings(0.7, -0.4, 1.3), ScatteringBranch(1, 0.9), 41),
+        (Couplings(0.5, -0.8, 1.2), ScatteringBranch(1, 0.7), 9),
+    ):
+        xs = np.linspace(-4, 4, n)
+        d = max(d, np.max(np.abs(modelmod.psi_eval(c, s, xs) - modelmod.psi_conj_eval(c, s, xs))))
     return d == 0.0, f"max diff {d:.2e}"
 
 
@@ -175,70 +197,89 @@ def check_sign_identity():
     u = rng.normal(size=10**6)
     v = rng.normal(size=10**6)
     # include single zeros and exact cancellations
-    u[:100] = 0.0
-    v[100:200] = 0.0
-    v[200:300] = -u[200:300]
+    u[:1000] = 0.0
+    v[1000:2000] = 0.0
+    v[2000:3000] = -u[2000:3000]
     lhs = np.sign(u + v) * (np.sign(u) + np.sign(v))
     rhs = 1 + np.sign(u) * np.sign(v)
     bad = int(np.sum(lhs != rhs))
-    return bad == 0, f"{bad} violations"
+    return bad == 0, f"sign identity exact on 1e6 pairs: {bad} violations"
 
 
 def check_eta_form_equivalence():
     # one-sided first-order term in its raw and step-function forms
     rng = np.random.default_rng(19)
     a = 1.0
-    z = 0.37 + 0.1j
     xs = rng.uniform(-4, 4, 200)
     ys = rng.uniform(-4, 4, 200)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     th = modelmod.theta
-    raw = (z / 4) * (np.sign(X + Y - 2 * a) - np.sign(X - Y)) * th(Y - a)
-    stepped = (z / 8) * (np.sign(X + Y - 2 * a) + 1) - (z / 4) * np.sign(X - Y) * th(
-        X + Y - 2 * a
-    )
-    d = np.max(np.abs(raw - stepped))
-    return d == 0.0, f"max diff {d:.2e}"
+    d = 0.0
+    for z in (0.37 + 0.1j, 0.41 + 0.13j, 0.37 + 0.21j):
+        raw = (z / 4) * (np.sign(X + Y - 2 * a) - np.sign(X - Y)) * th(Y - a)
+        stepped = (z / 8) * (np.sign(X + Y - 2 * a) + 1) - (z / 4) * np.sign(X - Y) * th(
+            X + Y - 2 * a
+        )
+        d = max(d, np.max(np.abs(raw - stepped)))
+    return d == 0.0, f"form equivalence on a 200x200 grid: max diff {d:.2e}"
 
 
 def check_eta1_spot_values():
-    c = Couplings(0.1j, -0.1j, 1.0)
-    kern = metricmod.eta1_bounded(c)
+    # exact values with the step-function conventions; (3, 4) and (-3, -4)
+    # lie outside the band
     vals = [
-        (0.5, -0.7, 0.05j),
-        (3.0, 4.0, 0.0),
-        (-0.9, 0.4, -0.05j),
+        (0.1, 0.5, -0.7, 0.05j),
+        (0.1, 3.0, 4.0, 0.0),
+        (0.1, -0.9, 0.4, -0.05j),
+        (0.2, 0.5, -0.7, 0.1j),
+        (0.2, 3.0, 4.0, 0.0),
+        (0.2, -3.0, -4.0, 0.0),
     ]
-    worst = max(abs(kernel_eval(kern, x, y) - v) for x, y, v in vals)
-    return worst <= 1e-15, f"worst {worst:.2e}"
+    worst = max(
+        abs(kernel_eval(metricmod.eta1_bounded(Couplings(1j * lam, -1j * lam, 1.0)), x, y) - v)
+        for lam, x, y, v in vals
+    )
+    return worst == 0.0, f"worst {worst:.2e} (exact)"
 
 
 def check_eta1_symmetries():
-    c = Couplings(0.23 + 0.2j, 0.4 - 0.2j, 1.0)
-    kern = metricmod.eta1_bounded(c)
+    # a purely imaginary, exactly antisymmetric regular part is Hermitian;
+    # |eta1| <= |Im z_+|/2 everywhere
     rng = np.random.default_rng(23)
-    worst_h = 0.0
-    sup = 0.0
-    for _ in range(500):
-        x, y = rng.uniform(-5, 5, 2)
-        v = kernel_eval(kern, x, y)
-        w = kernel_eval(kern, y, x)
-        worst_h = max(worst_h, abs(v - np.conj(w)), abs(v + w))
-        sup = max(sup, abs(v))
-    bound = abs(c.z_plus.imag) / 2
-    ok = worst_h <= 1e-15 and sup <= bound + 1e-12
-    return ok, f"hermiticity/antisymmetry {worst_h:.2e}, sup {sup:.3f} <= {bound:.3f}"
+    broken = 0
+    worst_excess = -np.inf
+    for c, samples in (
+        (Couplings(0.23 + 0.2j, 0.4 - 0.2j, 1.0), 500),
+        (Couplings(0.6 + 0.2j, 0.3 - 0.2j, 1.0), 300),
+        (Couplings(0.37j, -0.37j, 1.0), 2000),
+    ):
+        kern = metricmod.eta1_bounded(c)
+        sup = 0.0
+        for x, y in rng.uniform(-5, 5, (samples, 2)):
+            v = kernel_eval(kern, x, y)
+            broken += v != -kernel_eval(kern, y, x) or v.real != 0.0
+            sup = max(sup, abs(v))
+        worst_excess = max(worst_excess, sup - abs(c.z_plus.imag) / 2)
+    ok = broken == 0 and worst_excess <= 1e-12
+    return ok, (
+        f"{broken} samples not exactly antisymmetric and imaginary, "
+        f"sup - |Im z|/2 = {worst_excess:.2e}"
+    )
 
 
 def check_inm_closed_forms():
+    # regular parts against quadrature; the delta part is 1 for (0,1) only
     worst = 0.0
+    bad_delta = 0
     for n in (0, 1, 2):
         for m in (1, 2, 3):
             for alpha in (0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0):
-                closed = metricmod.inm(n, m, alpha)[1]
+                delta, closed = metricmod.inm(n, m, alpha)
                 quad = metricmod.inm_quadrature(n, m, alpha)
                 worst = max(worst, abs(closed - quad))
-    return worst <= 1e-8, f"worst {worst:.2e}"
+                bad_delta += delta != (1.0 if (n, m) == (0, 1) else 0.0)
+    ok = worst <= 1e-8 and bad_delta == 0
+    return ok, f"I[n,m] worst {worst:.2e} (<=1e-8), {bad_delta} wrong delta parts"
 
 
 def check_u_route():
@@ -253,18 +294,28 @@ def check_u_route():
 
 
 def check_appendixA_structure():
-    p = metricmod.AppendixAParams(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
-    kern = metricmod.eta1_appendixA(p)
-    center = abs(kernel_eval(kern, 0.0, 0.3))
-    p2 = metricmod.AppendixAParams(1.0, 0.8, 0.1, 0.07, 1.1, 1.0)
-    kern2 = metricmod.eta1_appendixA(p2)
+    # Hermitian limit (eps = 0): a real surviving tail, so not the identity
+    center = np.inf
+    worst_imag = 0.0
+    for rm, gamma in ((1.0, 1.0), (0.8, 1.1)):
+        p = metricmod.AppendixAParams(1.0, rm, 0.0, 0.0, gamma, 1.0)
+        v = kernel_eval(metricmod.eta1_appendixA(p), 0.0, 0.3)
+        center = min(center, abs(v))
+        worst_imag = max(worst_imag, abs(v.imag))
     rng = np.random.default_rng(29)
     worst = 0.0
-    for _ in range(300):
-        x, y = rng.uniform(-4, 4, 2)
-        worst = max(worst, abs(kernel_eval(kern2, x, y) - np.conj(kernel_eval(kern2, y, x))))
-    ok = center > 1e-2 and worst <= 1e-14
-    return ok, f"hermitian-limit magnitude {center:.3f} (not identity), hermiticity {worst:.2e}"
+    for p in (
+        metricmod.AppendixAParams(1.0, 0.8, 0.1, 0.07, 1.1, 1.0),
+        metricmod.AppendixAParams(1.0, 1.0, 0.1, 0.1, 1.0, 1.0),
+    ):
+        kern = metricmod.eta1_appendixA(p)
+        for x, y in rng.uniform(-4, 4, (300, 2)):
+            worst = max(worst, abs(kernel_eval(kern, x, y) - np.conj(kernel_eval(kern, y, x))))
+    ok = center > 1e-2 and worst_imag < 1e-15 and worst < 1e-15
+    return ok, (
+        f"Hermitian-limit magnitude {center:.3f} (not identity), imaginary part "
+        f"{worst_imag:.1e}, hermiticity {worst:.1e}"
+    )
 
 
 def check_appendixA_spectral_oracle():
@@ -291,12 +342,16 @@ def check_appendixA_spectral_oracle():
 def check_spectral_estimate():
     c = Couplings(0.1j, -0.1j, 1.0)
     kern = metricmod.eta1_bounded(c)
-    pts = [(0.5, -0.7), (2.0, 1.4), (-3.0, 0.6), (0.9, -0.9), (1.8, -0.4)]
+    pts = [
+        (0.5, -0.7), (2.0, 1.4), (-3.0, 0.6), (0.9, -0.9), (1.8, -0.4),
+        (-1.3, 0.5), (2.6, 3.2), (-0.6, -0.8), (0.3, 1.2), (-2.2, -1.4),
+    ]
     worst = 0.0
     for x, y in pts:
         est = metricmod.spectral_metric_estimate(c, x, y)
         worst = max(worst, abs(est - kernel_eval(kern, x, y)))
-    return worst <= 5e-3, f"worst {worst:.2e} over {len(pts)} points"
+    detail = f"spectral estimate vs kernel worst {worst:.2e} (<=5e-3) at {len(pts)} points"
+    return worst <= 5e-3, detail
 
 
 def check_metric_de_scaling():
@@ -307,11 +362,17 @@ def check_metric_de_scaling():
         c = Couplings(1j * lam, -1j * lam, 1.0)
         r.append(abs(metricmod.metric_de_residual(metricmod.eta1_bounded(c), c, bra, ket)))
     factor = r[0] / r[1]
-    # real-part perturbation leaves the residual at second order
-    c_re = Couplings(0.2 + 0.1j, 0.15 - 0.1j, 1.0)
-    r_re = abs(metricmod.metric_de_residual(metricmod.eta1_bounded(c_re), c_re, bra, ket))
-    ok = factor >= 3.0 and r[0] <= 1e-3 and r_re <= 1e-2
-    return ok, f"halving factor {factor:.2f}, |res| {r[0]:.2e}, with Re parts {r_re:.2e}"
+    # real coupling parts leave the residual at second order
+    r_re = []
+    for scale in (1.0, 0.5):
+        c_re = Couplings((0.2 + 0.1j) * scale, (0.15 - 0.1j) * scale, 1.0)
+        r_re.append(abs(metricmod.metric_de_residual(metricmod.eta1_bounded(c_re), c_re, bra, ket)))
+    factor_re = r_re[0] / r_re[1]
+    ok = factor >= 3.0 and r[0] <= 9e-4 and factor_re >= 3.0 and r_re[0] <= 1e-2
+    return ok, (
+        f"halving factor {factor:.2f}, |res| {r[0]:.2e}; with Re parts: "
+        f"factor {factor_re:.2f}, |res| {r_re[0]:.2e}"
+    )
 
 
 # ------------------------------------------------------------ hermitianize
@@ -321,14 +382,19 @@ def check_h_kernel_structure():
     from .kernels import kernel_pair
 
     c = Couplings(0.3 + 0.2j, -0.3 - 0.2j, 1.0)
-    c2 = Couplings(0.1 + 0.2j, 0.7 - 0.2j, 1.0)  # same Im, different Re
-    kern, kern2 = herm.h_kernel(c), herm.h_kernel(c2)
+    kern = herm.h_kernel(c)
+
+    def windows(k):
+        return sorted(t.coefficient.real for t in k.terms if len(t.dirac_factors) == 1)
+
     # nonlocal window terms are identical regardless of the real parts
-    win1 = sorted((t.coefficient.real for t in kern.terms if len(t.dirac_factors) == 1))
-    win2 = sorted((t.coefficient.real for t in kern2.terms if len(t.dirac_factors) == 1))
-    same_nonlocal = np.allclose(win1, win2, rtol=0, atol=1e-15)
+    win1 = windows(kern)
+    same_nonlocal = all(
+        np.allclose(win1, windows(herm.h_kernel(c2)), rtol=0, atol=1e-16)
+        for c2 in (Couplings(0.1 + 0.2j, 0.7 - 0.2j, 1.0), Couplings(0.25 + 0.2j, 0.4 - 0.2j, 1.0))
+    )
     lam2 = c.z_plus.imag ** 2
-    magnitudes_ok = np.allclose(np.abs(win1), lam2 / 8, rtol=0, atol=1e-15)
+    magnitudes_ok = np.allclose(np.abs(win1), lam2 / 8, rtol=0, atol=1e-16)
     # Hermitian symmetry of the window part via pairings
     from .kernels import DistributionalKernel
 
@@ -348,10 +414,11 @@ def check_h_kernel_structure():
 
 
 def check_u_w_profiles():
-    ks = np.linspace(-3, 3, 121)
+    ks = [*np.linspace(-3, 3, 121), 0.3, 1.1, 2.7]
     u_even = max(abs(herm.u_fn(1.0, 1.4, k) - herm.u_fn(1.0, 1.4, -k)) for k in ks)
-    xs = np.linspace(-5, 5, 101)
-    w_even = max(abs(herm.w_fn(1.0, 2.1, x) - herm.w_fn(1.0, 2.1, -x)) for x in xs)
+    sx = [(2.1, x) for x in np.linspace(-5, 5, 101)]
+    sx += [(s, x) for s in (0.4, 1.5, 5.0) for x in (0.3, 1.4, 3.3)]
+    w_even = max(abs(herm.w_fn(1.0, s, x) - herm.w_fn(1.0, s, -x)) for s, x in sx)
     ok = u_even <= 1e-12 and w_even <= 1e-10
     return ok, f"U evenness {u_even:.2e}, W parity {w_even:.2e}"
 
@@ -372,7 +439,7 @@ def check_energy_closed_vs_oracle(full=False):
                 es = herm.energy_gaussian_shifted(c, s, x0)
                 eq = herm.energy_quadrature(c, herm.GaussianPacket(s, 0.0, x0))
                 worst = max(worst, abs(es.total - eq.total) / abs(eq.total))
-    return worst <= 1e-6, f"worst rel {worst:.2e}"
+    return worst <= 1e-6, f"closed vs quadrature worst rel {worst:.2e} (<=1e-6)"
 
 
 def check_pt_insensitivity():
@@ -395,21 +462,34 @@ def check_xp_commutator():
 # ------------------------------------------------------------ perturbation
 
 
-def _random_solvable(n, z, seed):
-    rng = np.random.default_rng(seed)
-    H0 = np.diag(np.sort(rng.normal(size=n)))
+def _solvable(rng, levels, z):
+    # real symmetric Hermitian part, imaginary-antisymmetric anti-Hermitian
+    # part, both diagonal-free in the H0 eigenbasis
+    n = len(levels)
     A = rng.normal(size=(n, n))
     S = (A + A.T) / 2
     np.fill_diagonal(S, 0)
     B = rng.normal(size=(n, n))
     T = 1j * (B - B.T) / 2
-    return pert.PerturbedOperator(H0, (S, T), (z, 1j * z))
+    return pert.PerturbedOperator(np.diag(levels), (S, T), (z, 1j * z))
+
+
+def solvable_instance(n, z, seed):
+    """Random instance in the quasi-Hermitian-compatible class, with H0
+    levels near 0, 1, ..., n-1 so the residual constants stay tame."""
+    rng = np.random.default_rng(seed)
+    return _solvable(rng, np.arange(n) + 0.3 * rng.uniform(-1, 1, n), z)
+
+
+def _ungapped_instance(n, z, seed):
+    # the same class with standard-normal H0 levels, which may lie close
+    rng = np.random.default_rng(seed)
+    return _solvable(rng, np.sort(rng.normal(size=n)), z)
 
 
 def check_perturbation_scalings():
-    p1 = _random_solvable(6, 1e-2, 31)
-    p2 = _random_solvable(6, 5e-3, 31)
-
+    # halving z shrinks both third-order residuals ~8x; on the gapped
+    # instances the Hermiticity residual also stays below 1e-4 ||H0||
     def resid(p):
         q1 = pert.solve_q1(p)
         q2 = pert.solve_q2(p, q1)
@@ -421,24 +501,43 @@ def check_perturbation_scalings():
             np.linalg.norm(eta @ H - H.conj().T @ eta),
         )
 
-    h1, e1 = resid(p1)
-    h2, e2 = resid(p2)
-    fh, fe = h1 / h2, e1 / e2
-    ok = fh >= 6.0 and fe >= 6.0
-    return ok, f"h-residual factor {fh:.2f}, eta-residual factor {fe:.2f} (expect ~8)"
+    fh = fe = np.inf
+    rel = 0.0
+    for make, seed in (
+        (_ungapped_instance, 31),
+        (solvable_instance, 27),
+        (solvable_instance, 34),
+        (solvable_instance, 77),
+    ):
+        p = make(6, 1e-2, seed)
+        h1, e1 = resid(p)
+        h2, e2 = resid(make(6, 5e-3, seed))
+        fh, fe = min(fh, h1 / h2), min(fe, e1 / e2)
+        if make is solvable_instance:
+            rel = max(rel, h1 / np.linalg.norm(p.h0))
+    ok = fh >= 6.0 and fe >= 6.0 and rel <= 1e-4
+    return ok, (
+        f"h-residual halving factor {fh:.2f}, eta-residual {fe:.2f} (>=6, expect ~8), "
+        f"h-residual/||H0|| {rel:.1e} (<=1e-4)"
+    )
 
 
 def check_perturbation_identities():
-    p = _random_solvable(6, 1e-2, 37)
-    q1 = pert.solve_q1(p)
-    h = pert.equivalent_h(p, q1)
-    lhs = h - (p.h0 + p.h1_hermitian)
-    rhs = 0.25 * (p.h1_antihermitian @ q1 - q1 @ p.h1_antihermitian)
-    d1 = np.linalg.norm(lhs - rhs)
-    # -1/8 [[H0,Q1],Q1] equals 1/4 [H_ah, Q1] given the first-order relation
-    c0 = p.h0 @ q1 - q1 @ p.h0
-    lhs2 = -0.125 * (c0 @ q1 - q1 @ c0)
-    d2 = np.linalg.norm(lhs2 - rhs)
+    d1 = d2 = 0.0
+    for p in (
+        _ungapped_instance(6, 1e-2, 37),
+        solvable_instance(6, 1e-2, 29),
+        solvable_instance(6, 1e-2, 30),
+    ):
+        q1 = pert.solve_q1(p)
+        h = pert.equivalent_h(p, q1)
+        lhs = h - (p.h0 + p.h1_hermitian)
+        rhs = 0.25 * (p.h1_antihermitian @ q1 - q1 @ p.h1_antihermitian)
+        d1 = max(d1, np.linalg.norm(lhs - rhs))
+        # -1/8 [[H0,Q1],Q1] equals 1/4 [H_ah, Q1] given the first-order relation
+        c0 = p.h0 @ q1 - q1 @ p.h0
+        lhs2 = -0.125 * (c0 @ q1 - q1 @ c0)
+        d2 = max(d2, np.linalg.norm(lhs2 - rhs))
     ok = d1 <= 1e-12 and d2 <= 1e-12
     return ok, f"first-order identity {d1:.2e}, two-forms identity {d2:.2e}"
 
@@ -447,7 +546,7 @@ def check_perturbation_identities():
 
 
 def check_hermitian_row():
-    for r in (0.3, -0.8, 1.5):
+    for r in (0.3, -0.8, 1.5, 2.0):
         c = Couplings(r, -r, 1.0)
         ss = spec.find_spectral_singularities(c, 15.0)
         if ss:
@@ -461,21 +560,21 @@ def check_hermitian_row():
 def check_region_claims():
     c = Couplings(0.3, -0.3, 1.0)
     total, real_e = spec.count_bound_states(c, ComplexRect(-1, 1, 1e-3, 3))
-    if (total, real_e) != (1, 1):
-        return False, f"z=0.3 expected (1,1), got {(total, real_e)}"
     ci = Couplings(0.3j, -0.3j, 1.0)
     ss = spec.find_spectral_singularities(ci, 20.0)
-    ti, ri = spec.count_bound_states(ci)
-    if ss or ti:
-        return False, f"z=0.3i expected clean, got ss={ss}, bound={ti}"
-    return True, "z=0.3 -> one real bound state; z=0.3i -> clean"
+    ti, _ = spec.count_bound_states(ci)
+    ok = (total, real_e) == (1, 1) and ss == [] and ti == 0
+    return ok, (
+        f"z=0.3: ({total},{real_e}) bound states (expect (1,1)); "
+        f"z=0.3i: {ti} bound, {len(ss)} singularities (expect 0,0)"
+    )
 
 
 def check_grid_pseudo_hermiticity_weak():
     r1 = gridmod.weak_pseudo_hermiticity_residual(Couplings(0.1j, -0.1j, 1.0))
     r2 = gridmod.weak_pseudo_hermiticity_residual(Couplings(0.05j, -0.05j, 1.0))
     factor = r1 / r2
-    return factor >= 3.0, f"halving factor {factor:.2f} (weak form)"
+    return factor >= 3.0, f"halving factor {factor:.2f} (>=3, weak form)"
 
 
 def check_grid_pseudo_hermiticity_frobenius():
@@ -496,8 +595,12 @@ def check_smeared_overlap():
     extrap = vals[2] + (vals[2] - vals[1])
     d = np.abs(extrap - K).max()
     far = np.abs(modelmod.smeared_overlap_check(c, 1.0, 1.5, 0.05)).max()
-    ok = d <= 1e-3 and far <= 1e-3
-    return ok, f"extrapolated diff {d:.2e}, far-separated max {far:.2e}"
+    # the free overlap is the identity up to O(width)
+    free = np.abs(
+        modelmod.smeared_overlap_check(Couplings(0.0, 0.0, 1.0), 1.0, 1.0, 0.05) - np.eye(2)
+    ).max()
+    ok = d <= 1e-3 and far <= 1e-3 and free < 0.06
+    return ok, f"extrapolated diff {d:.2e}, far-separated max {far:.2e}, free {free:.2e}"
 
 
 def check_fig1_symmetry():
@@ -514,57 +617,58 @@ def check_fig1_symmetry():
     return True, "spectrum symmetric under s -> -s"
 
 
-CHECKS = [
-    ("numerics.erf_symmetries", FAST, check_erf_symmetries),
-    ("numerics.erf_quadrature_oracle", FAST, check_erf_quadrature),
-    ("numerics.matrix_inv_sqrt", FAST, check_inv_sqrt),
-    ("numerics.count_zeros_additivity", FAST, check_count_zeros_additivity),
-    ("numerics.i22_quadrature", FAST, check_i22_quadrature),
-    ("model.k_matrix_identities", FAST, check_k_matrix_identities),
-    ("model.psi_continuity", FAST, check_psi_continuity),
-    ("model.transfer_asymptotics", FAST, check_transfer_asymptotics),
-    ("model.hermitian_limit", FAST, check_hermitian_limit_psi),
-    ("metric.sign_identity", FAST, check_sign_identity),
-    ("metric.form_equivalence", FAST, check_eta_form_equivalence),
-    ("metric.eta1_spot_values", FAST, check_eta1_spot_values),
-    ("metric.eta1_symmetries", FAST, check_eta1_symmetries),
-    ("metric.inm_closed_forms", FAST, check_inm_closed_forms),
-    ("metric.u_inverse_sqrt_route", FAST, check_u_route),
-    ("metric.appendixA_structure", FAST, check_appendixA_structure),
-    ("hermitianize.h_kernel_structure", FAST, check_h_kernel_structure),
-    ("hermitianize.u_w_profiles", FAST, check_u_w_profiles),
-    ("hermitianize.energy_closed_vs_oracle", FAST, check_energy_closed_vs_oracle),
-    ("hermitianize.pt_insensitivity", FAST, check_pt_insensitivity),
-    ("perturbation.scalings", FAST, check_perturbation_scalings),
-    ("perturbation.identities", FAST, check_perturbation_identities),
-    ("spectrum.hermitian_row", FAST, check_hermitian_row),
-    ("spectrum.region_claims", FAST, check_region_claims),
-    ("metric.appendixA_spectral_oracle", FULL, check_appendixA_spectral_oracle),
-    ("metric.spectral_estimate", FULL, check_spectral_estimate),
-    ("metric.de_residual_scaling", FULL, check_metric_de_scaling),
-    ("metric.grid_pseudo_hermiticity_weak", FULL, check_grid_pseudo_hermiticity_weak),
-    ("metric.grid_pseudo_hermiticity_frobenius", FULL, check_grid_pseudo_hermiticity_frobenius),
-    ("hermitianize.energy_full_grid", FULL, lambda: check_energy_closed_vs_oracle(full=True)),
-    ("hermitianize.xp_commutator", FULL, check_xp_commutator),
-    ("model.smeared_overlap", FULL, check_smeared_overlap),
-    ("spectrum.fig1_symmetry", FULL, check_fig1_symmetry),
-]
+CHECKS = {
+    "numerics.erf_symmetries": (FAST, check_erf_symmetries),
+    "numerics.erf_quadrature_oracle": (FAST, check_erf_quadrature),
+    "numerics.matrix_inv_sqrt": (FAST, check_inv_sqrt),
+    "numerics.count_zeros_additivity": (FAST, check_count_zeros_additivity),
+    "numerics.i22_quadrature": (FAST, check_i22_quadrature),
+    "model.k_matrix_identities": (FAST, check_k_matrix_identities),
+    "model.psi_continuity": (FAST, check_psi_continuity),
+    "model.transfer_asymptotics": (FAST, check_transfer_asymptotics),
+    "model.hermitian_limit": (FAST, check_hermitian_limit_psi),
+    "metric.sign_identity": (FAST, check_sign_identity),
+    "metric.form_equivalence": (FAST, check_eta_form_equivalence),
+    "metric.eta1_spot_values": (FAST, check_eta1_spot_values),
+    "metric.eta1_symmetries": (FAST, check_eta1_symmetries),
+    "metric.inm_closed_forms": (FAST, check_inm_closed_forms),
+    "metric.u_inverse_sqrt_route": (FAST, check_u_route),
+    "metric.appendixA_structure": (FAST, check_appendixA_structure),
+    "hermitianize.h_kernel_structure": (FAST, check_h_kernel_structure),
+    "hermitianize.u_w_profiles": (FAST, check_u_w_profiles),
+    "hermitianize.energy_closed_vs_oracle": (FAST, check_energy_closed_vs_oracle),
+    "hermitianize.pt_insensitivity": (FAST, check_pt_insensitivity),
+    "perturbation.scalings": (FAST, check_perturbation_scalings),
+    "perturbation.identities": (FAST, check_perturbation_identities),
+    "spectrum.hermitian_row": (FAST, check_hermitian_row),
+    "spectrum.region_claims": (FAST, check_region_claims),
+    "metric.appendixA_spectral_oracle": (FULL, check_appendixA_spectral_oracle),
+    "metric.spectral_estimate": (FULL, check_spectral_estimate),
+    "metric.de_residual_scaling": (FULL, check_metric_de_scaling),
+    "metric.grid_pseudo_hermiticity_weak": (FULL, check_grid_pseudo_hermiticity_weak),
+    "metric.grid_pseudo_hermiticity_frobenius": (FULL, check_grid_pseudo_hermiticity_frobenius),
+    "hermitianize.energy_full_grid": (FULL, lambda: check_energy_closed_vs_oracle(full=True)),
+    "hermitianize.xp_commutator": (FULL, check_xp_commutator),
+    "model.smeared_overlap": (FULL, check_smeared_overlap),
+    "spectrum.fig1_symmetry": (FULL, check_fig1_symmetry),
+}
 
 
 def run_verify(level: str = "fast"):
     """Run the named suites; returns (all_passed, report dict)."""
     if level not in (FAST, FULL):
-        raise ValueError("level must be 'fast' or 'full'")
-    selected = [c for c in CHECKS if level == FULL or c[1] == FAST]
+        raise DomainError("level must be 'fast' or 'full'")
     report = {"level": level, "checks": []}
     all_ok = True
-    for name, _, fn in selected:
-        t0 = time.time()
+    for name, (check_level, fn) in CHECKS.items():
+        if level == FAST and check_level == FULL:
+            continue
+        t0 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         report["checks"].append(
             {"name": name, "passed": bool(ok), "detail": detail, "seconds": round(dt, 2)}
         )

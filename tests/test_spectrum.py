@@ -1,5 +1,8 @@
 """Spectral geography: singularities on the real axis, bound states in
-the upper half plane, coupling-plane scans."""
+the upper half plane, coupling-plane scans.
+
+The Hermitian row (real antisymmetric couplings: no singularities, real
+bound energies) is the registry check ``spectrum.hermitian_row``."""
 
 import os
 import subprocess
@@ -34,10 +37,6 @@ SS_CURVE = lambda n, a=1.0: n * np.pi / (2 * np.sqrt(2) * a)
 
 
 class TestSpectralSingularities:
-    def test_hermitian_clean(self):
-        for z in (0.3, -0.8, 2.0):
-            assert find_spectral_singularities(Couplings(z, -z, 1.0), 15.0) == []
-
     def test_small_imaginary_clean(self):
         assert find_spectral_singularities(Couplings(0.1j, -0.1j, 1.0), 20.0) == []
         assert find_spectral_singularities(Couplings(0.3j, -0.3j, 1.0), 20.0) == []
