@@ -91,17 +91,27 @@ def check_count_zeros_additivity():
     return ok, "; ".join(f"total {t}, split sum {s}" for t, s in counts)
 
 
+# closed forms of the I_{n,m} family against quadrature; the per-point
+# helpers below also back the parametrised per-point tests
+INM_TOL = 1e-8
+I22_ALPHAS = (0.0, 0.5, 1.0, 3.0)
+
+
+def i22_error(alpha):
+    """|closed form - quadrature| of I_{2,2}(alpha), quadrature taken
+    directly on the rational Fourier integrand (not via inm_quadrature)."""
+    closed = metricmod.inm(2, 2, alpha)[1]
+    quad = num.integrate_1d(
+        lambda k: np.exp(1j * k * alpha) / (1 + k * k) ** 2 / (2 * np.pi),
+        -np.inf,
+        np.inf,
+    )
+    return abs(closed - quad)
+
+
 def check_i22_quadrature():
-    worst = 0.0
-    for alpha in (0.0, 0.5, 1.0, 3.0):
-        closed = metricmod.inm(2, 2, alpha)[1]
-        quad = num.integrate_1d(
-            lambda k: np.exp(1j * k * alpha) / (1 + k * k) ** 2 / (2 * np.pi),
-            -np.inf,
-            np.inf,
-        )
-        worst = max(worst, abs(closed - quad))
-    return worst <= 1e-8, f"worst {worst:.2e}"
+    worst = max(i22_error(alpha) for alpha in I22_ALPHAS)
+    return worst <= INM_TOL, f"worst {worst:.2e}"
 
 
 # ------------------------------------------------------------------- model
@@ -267,19 +277,32 @@ def check_eta1_symmetries():
     )
 
 
+INM_POINTS = {
+    "n": (0, 1, 2),
+    "m": (1, 2, 3),
+    "alpha": (0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0),
+}
+
+
+def inm_error(n, m, alpha):
+    """(|closed - quadrature| of I[n,m]'s regular part, whether its delta
+    part is right: 1 for (0,1), 0 otherwise)."""
+    delta, closed = metricmod.inm(n, m, alpha)
+    quad = metricmod.inm_quadrature(n, m, alpha)
+    return abs(closed - quad), delta == (1.0 if (n, m) == (0, 1) else 0.0)
+
+
 def check_inm_closed_forms():
-    # regular parts against quadrature; the delta part is 1 for (0,1) only
-    worst = 0.0
-    bad_delta = 0
-    for n in (0, 1, 2):
-        for m in (1, 2, 3):
-            for alpha in (0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0):
-                delta, closed = metricmod.inm(n, m, alpha)
-                quad = metricmod.inm_quadrature(n, m, alpha)
-                worst = max(worst, abs(closed - quad))
-                bad_delta += delta != (1.0 if (n, m) == (0, 1) else 0.0)
-    ok = worst <= 1e-8 and bad_delta == 0
-    return ok, f"I[n,m] worst {worst:.2e} (<=1e-8), {bad_delta} wrong delta parts"
+    errors = [
+        inm_error(n, m, alpha)
+        for n in INM_POINTS["n"]
+        for m in INM_POINTS["m"]
+        for alpha in INM_POINTS["alpha"]
+    ]
+    worst = max(err for err, _ in errors)
+    bad_delta = sum(not delta_ok for _, delta_ok in errors)
+    ok = worst <= INM_TOL and bad_delta == 0
+    return ok, f"I[n,m] worst {worst:.2e} (<={INM_TOL:g}), {bad_delta} wrong delta parts"
 
 
 def check_u_route():

@@ -25,6 +25,7 @@ from ddscatter import (
     u_inverse_sqrt_route,
 )
 from ddscatter.model import theta
+from ddscatter.verify import INM_POINTS, INM_TOL, inm_error
 
 
 class TestEta1Bounded:
@@ -97,6 +98,15 @@ def _partial_sum_kernel(p, x, y):
 
 
 class TestInm:
+    # per-point view of the registry check metric.inm_closed_forms
+    @pytest.mark.parametrize("n", INM_POINTS["n"])
+    @pytest.mark.parametrize("m", INM_POINTS["m"])
+    @pytest.mark.parametrize("alpha", INM_POINTS["alpha"])
+    def test_closed_forms_match_quadrature(self, n, m, alpha):
+        err, delta_ok = inm_error(n, m, alpha)
+        assert err <= INM_TOL
+        assert delta_ok
+
     def test_spot_values(self):
         assert inm(0, 2, 1.0) == (0.0, 0.0)
         assert inm(2, 2, 0.0) == (0.0, 0.25)

@@ -26,7 +26,7 @@ from ddscatter import (
     matrix_inv_sqrt,
     refine_root,
 )
-from ddscatter.verify import erf_segment_oracle
+from ddscatter.verify import I22_ALPHAS, INM_TOL, erf_segment_oracle, i22_error
 
 
 class TestErf:
@@ -63,6 +63,11 @@ class TestIntegrate1d:
             lambda k: np.exp(1j * k) / (1 + k * k) ** 2, -np.inf, np.inf
         ) / (2 * np.pi)
         assert abs(v - np.exp(-1) / 2) < 1e-12
+
+    @pytest.mark.parametrize("alpha", I22_ALPHAS)
+    def test_i22_closed_form(self, alpha):
+        # per-point view of the registry check numerics.i22_quadrature
+        assert i22_error(alpha) < INM_TOL
 
     def test_declared_breakpoint(self):
         v = integrate_1d(lambda x: abs(x) ** -0.5 if x != 0 else 0.0, -1.0, 1.0, points=[0.0])
