@@ -269,6 +269,13 @@ def energy_quadrature(
     return EnergyBreakdown(kinetic, local, nonloc)
 
 
+def _require_profile_args(a, sigma, t, t_name):
+    if not (math.isfinite(a) and math.isfinite(sigma) and math.isfinite(t)):
+        raise DomainError(f"a, sigma and {t_name} must be finite")
+    if sigma <= 0:
+        raise DomainError("sigma must be positive")
+
+
 def u_fn(a: float, sigma: float, k: float) -> float:
     """Nonlocal-energy profile for a moving packet centred at the origin:
 
@@ -281,8 +288,7 @@ def u_fn(a: float, sigma: float, k: float) -> float:
     large k*sigma, where the naive bracket overflows (the true decay is
     algebraic, set by the finite integration windows, not Gaussian).
     """
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    _require_profile_args(a, sigma, k, "k")
     import scipy.special
 
     w1 = (1j * k * sigma**2 + 3 * a) / (_SQRT2 * sigma)  # Re > 0
@@ -299,6 +305,7 @@ def u_fn(a: float, sigma: float, k: float) -> float:
 def v_fn(a: float, sigma: float, x0: float) -> float:
     """Local-potential profile of a stationary shifted packet (the
     antisymmetric combination of the two delta weights)."""
+    _require_profile_args(a, sigma, x0, "x0")
     return float(
         np.exp(-((x0 - a) ** 2) / sigma**2) - np.exp(-((x0 + a) ** 2) / sigma**2)
     )
@@ -314,8 +321,7 @@ def w_fn(a: float, sigma: float, x0: float) -> float:
     |x0|/sigma, and x0 -> -x0 swaps the two terms: W is even in x0
     exactly, not just to rounding.
     """
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    _require_profile_args(a, sigma, x0, "x0")
     s = _SQRT2 * sigma
 
     def part(u, v):

@@ -7,6 +7,13 @@ matrix, and maps observables into the pseudo-Hermitian representation.
 
 Gauge: the diagonal of Q vanishes in the H0 eigenbasis at every order
 (minimal choice; matches the identity metric in the Hermitian limit).
+
+Cost: a diagonal H0 is its own eigenbasis, so no decomposition of it runs
+and the basis changes and commutators with H0 are elementwise,
+[H0, X]_ij = (E_i - E_j) X_ij.  A matrix whose imaginary part is exactly
+zero enters products and eigh as a real array, and each commutator of a
+Hermitian or anti-Hermitian matrix with a Hermitian one comes from one
+product.  Every public function still returns complex arrays.
 """
 
 from __future__ import annotations
@@ -78,9 +85,19 @@ class PerturbedOperator:
         object.__setattr__(self, "couplings", couplings)
 
     @cached_property
+    def _eigenbasis(self):
+        # (E, V) shared by the first- and second-order solves; V is None
+        # when H0 is diagonal (off-diagonal zeros counted without a copy)
+        h0 = self.h0
+        if np.count_nonzero(h0) == np.count_nonzero(h0.diagonal()):
+            return h0.diagonal().real.copy(), None
+        return np.linalg.eigh(_real_if_exact(h0))
+
+    @property
     def h0_eigh(self):
-        """(E, V) of H0, shared by the first- and second-order solves."""
-        return np.linalg.eigh(self.h0)
+        """(E, V) of H0: for a diagonal H0 its diagonal and the identity."""
+        E, V = self._eigenbasis
+        return E, (np.eye(len(E)) if V is None else V)
 
     @property
     def h1(self):
@@ -108,8 +125,45 @@ class QExpansion:
     q2: np.ndarray
 
 
+def _real_if_exact(M):
+    """M, or its real part as a real array when its imaginary part is
+    exactly zero: real products and eigh cost a quarter and a third of
+    complex ones."""
+    if np.iscomplexobj(M) and not M.imag.any():
+        return np.ascontiguousarray(M.real)
+    return M
+
+
 def _commutator(A, B):
     return A @ B - B @ A
+
+
+def _commutator_hermitian(A, B):
+    """[A, B] for Hermitian A and B from one product: BA = (AB)^dag."""
+    P = A @ B
+    return P - P.conj().T
+
+
+def _commutator_antihermitian(A, B):
+    """[A, B] for anti-Hermitian A and Hermitian B: BA = -(AB)^dag."""
+    P = A @ B
+    return P + P.conj().T
+
+
+def _h0_commutator(p, X):
+    """[H0, X] for Hermitian X; (E_i - E_j) X_ij when H0 is diagonal."""
+    E, V = p._eigenbasis
+    if V is None:
+        return (E[:, None] - E[None, :]) * X
+    return _commutator_hermitian(_real_if_exact(p.h0), X)
+
+
+def _to_eig(V, M):
+    return M if V is None else V.conj().T @ M @ V
+
+
+def _from_eig(V, M):
+    return M if V is None else V @ M @ V.conj().T
 
 
 def _solve_sylvester_diag(energies, rhs, coupling_tol):
@@ -120,7 +174,7 @@ def _solve_sylvester_diag(energies, rhs, coupling_tol):
     """
     n = len(energies)
     gaps = energies[:, None] - energies[None, :]
-    Q = np.zeros((n, n), dtype=complex)
+    Q = np.zeros((n, n), dtype=rhs.dtype)
     off = ~np.eye(n, dtype=bool)
     small = np.abs(gaps) < _GAP_TOL
     coupled_degenerate = off & small & (np.abs(rhs) > coupling_tol)
@@ -130,8 +184,7 @@ def _solve_sylvester_diag(energies, rhs, coupling_tol):
             f"levels {i} and {j} are degenerate (gap {abs(gaps[i, j]):.2e}) "
             "but coupled by the perturbation"
         )
-    sel = off & ~small
-    Q[sel] = rhs[sel] / gaps[sel]
+    np.divide(rhs, gaps, out=Q, where=off & ~small)
     return Q
 
 
@@ -143,20 +196,21 @@ def solve_q1(p: PerturbedOperator) -> np.ndarray:
     (otherwise the spectrum is complex at first order and no metric
     exists).
     """
-    E, V = p.h0_eigh
-    A = V.conj().T @ p.h1_antihermitian @ V
+    E, V = p._eigenbasis
+    h1_ah = _real_if_exact(p.h1_antihermitian)
+    A = _to_eig(V, h1_ah)
     scale = max(1.0, np.linalg.norm(A))
     if np.max(np.abs(np.diag(A))) > _DIAG_TOL * scale:
         raise NonQuasiHermitianError(
             "anti-Hermitian perturbation has nonzero diagonal in the H0 "
             "eigenbasis: complex first-order energies, not quasi-Hermitian"
         )
-    Q1_eig = _solve_sylvester_diag(E, -2.0 * A, coupling_tol=_DIAG_TOL * scale)
-    Q1 = V @ Q1_eig @ V.conj().T
-    resid = np.linalg.norm(_commutator(p.h0, Q1) + 2 * p.h1_antihermitian)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(p.h1_antihermitian)):
+    Q1 = _from_eig(V, _solve_sylvester_diag(E, -2.0 * A, coupling_tol=_DIAG_TOL * scale))
+    Q1 = 0.5 * (Q1 + Q1.conj().T)  # symmetrize roundoff
+    resid = np.linalg.norm(_h0_commutator(p, Q1) + 2 * h1_ah)
+    if resid > 1e-10 * max(1.0, np.linalg.norm(h1_ah)):
         raise InconsistencyError(f"first-order commutator residual {resid:.2e}")
-    return 0.5 * (Q1 + Q1.conj().T)  # symmetrize roundoff
+    return np.asarray(Q1, dtype=complex)
 
 
 def solve_q2(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
@@ -168,22 +222,24 @@ def solve_q2(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
     diagonal equals -2i Im(second-order energy shift) and signals
     breakdown of quasi-Hermiticity at second order.
     """
-    q1 = _require_hermitian(q1, "Q1")
-    R = -_commutator(p.h1, q1) - 0.5 * _commutator(_commutator(p.h0, q1), q1)
-    E, V = p.h0_eigh
-    R_eig = V.conj().T @ R @ V
+    q1 = _real_if_exact(_require_hermitian(q1, "Q1"))
+    R = _commutator(q1, _real_if_exact(p.h1)) - 0.5 * _commutator_antihermitian(
+        _h0_commutator(p, q1), q1
+    )
+    E, V = p._eigenbasis
+    R_eig = _to_eig(V, R)
     scale = max(1.0, np.linalg.norm(R_eig))
     if np.max(np.abs(np.diag(R_eig))) > _SOLVE_TOL * scale:
         raise InconsistencyError(
             "second-order solvability violated: diag of R nonzero "
             "(quasi-Hermiticity breaks down at second order)"
         )
-    Q2_eig = _solve_sylvester_diag(E, R_eig, coupling_tol=_SOLVE_TOL * scale)
-    Q2 = V @ Q2_eig @ V.conj().T
-    resid = np.linalg.norm(_commutator(p.h0, Q2) - R)
+    Q2 = _from_eig(V, _solve_sylvester_diag(E, R_eig, coupling_tol=_SOLVE_TOL * scale))
+    Q2 = 0.5 * (Q2 + Q2.conj().T)
+    resid = np.linalg.norm(_h0_commutator(p, Q2) - R)
     if resid > 1e-10 * max(1.0, np.linalg.norm(R)):
         raise InconsistencyError(f"second-order commutator residual {resid:.2e}")
-    return 0.5 * (Q2 + Q2.conj().T)
+    return np.asarray(Q2, dtype=complex)
 
 
 def equivalent_h(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
@@ -192,8 +248,11 @@ def equivalent_h(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
         h = H0 + H1_hermitian + (1/4)[H1_antihermitian, Q1],
 
     exactly Hermitian by construction (the commutator of an anti-Hermitian
-    with a Hermitian matrix is Hermitian)."""
-    return p.h0 + p.h1_hermitian + 0.25 * _commutator(p.h1_antihermitian, q1)
+    with a Hermitian matrix is P + P^dag with P = H1_antihermitian Q1)."""
+    c = _commutator_antihermitian(
+        _real_if_exact(p.h1_antihermitian), _real_if_exact(np.asarray(q1))
+    )
+    return p.h0 + p.h1_hermitian + 0.25 * c
 
 
 def conjugated_h(p: PerturbedOperator, q: QExpansion) -> np.ndarray:
@@ -203,8 +262,8 @@ def conjugated_h(p: PerturbedOperator, q: QExpansion) -> np.ndarray:
     residual exhibits the cubic coupling scaling; the closed formula
     equivalent_h agrees with it to the same order.
     """
-    rho, rho_inv = _expm_pair_hermitian(-0.5 * (q.q1 + q.q2))
-    return rho @ p.total @ rho_inv
+    rho, rho_inv = _expm_pair_hermitian(_real_if_exact(-0.5 * (q.q1 + q.q2)))
+    return np.asarray(rho @ _real_if_exact(p.total) @ rho_inv, dtype=complex)
 
 
 def map_observable(o: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -224,7 +283,7 @@ def map_observable(o: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 def _expm_pair_hermitian(A):
     """(exp(A), exp(-A)) for Hermitian A from one eigendecomposition."""
     w, V = np.linalg.eigh(A)
-    Vh = V.conj().T
+    Vh = np.conj(V).T  # a copy: a real V.conj() is V itself, scaled below
     exp_a = (V * np.exp(w)) @ Vh
     V *= np.exp(-w)  # in place: no third n x n temporary at the peak
     return exp_a, V @ Vh
@@ -234,11 +293,11 @@ def eta_from_q(q1: np.ndarray, q2: np.ndarray = None) -> np.ndarray:
     """Positive-definite metric eta = exp(-Q1 - Q2)."""
     q1 = _require_hermitian(q1, "Q1")
     q = q1 if q2 is None else q1 + _require_hermitian(q2, "Q2")
-    eta, eta_inv = _expm_pair_hermitian(-q)
+    eta, eta_inv = _expm_pair_hermitian(_real_if_exact(-q))
     check = np.linalg.norm(eta_inv @ eta - np.eye(len(q)))
     if check > 1e-10 * len(q):
         raise InconsistencyError(f"matrix exponential inversion residual {check:.2e}")
-    return eta
+    return np.asarray(eta, dtype=complex)
 
 
 # dense JSON wire format: row-major nested lists of [re, im] pairs

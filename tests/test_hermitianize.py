@@ -224,6 +224,22 @@ class TestProfiles:
         assert abs(v_fn(1.0, 1.0, 0.0)) < 1e-15
         assert v_fn(1.0, 1.0, 0.9) > 0
 
+    @pytest.mark.parametrize("fn", [u_fn, v_fn, w_fn])
+    @pytest.mark.parametrize(
+        "args",
+        [(1.0, math.nan, 0.3), (math.nan, 1.0, 0.3), (1.0, 1.0, math.nan),
+         (1.0, 1.0, math.inf), (-math.inf, 1.0, 0.3), (1.0, math.inf, 0.3)],
+    )
+    def test_non_finite_argument_rejected(self, fn, args):
+        # u_fn(1, nan, 0.3) once returned nan and w_fn(1, 1, inf) 0.0
+        with pytest.raises(DomainError, match="finite"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn", [u_fn, v_fn, w_fn])
+    def test_non_positive_sigma_rejected(self, fn):
+        with pytest.raises(DomainError, match="positive"):
+            fn(1.0, 0.0, 0.3)
+
 
 class TestObservableKernels:
     def test_hermitian_limit(self):

@@ -6,6 +6,8 @@ first-order and two-forms identities are registry checks
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddscatter import (
     Couplings,
@@ -25,8 +27,34 @@ from ddscatter import (
 from ddscatter.grid import discretized_hamiltonian, uniform_grid
 from ddscatter.kernels import regular_part_grid
 from ddscatter.metric import eta1_bounded
-from ddscatter.perturbation import matrix_from_json, matrix_to_json
+from ddscatter.perturbation import _expm_pair_hermitian, matrix_from_json, matrix_to_json
 from ddscatter.verify import solvable_instance
+
+
+def rotated(p, seed):
+    """The two-generator instance p in a random complex basis U, with its
+    generators mixed so that both couplings are complex: the operator
+    U H U^dag, whose H0 is not diagonal and whose matrices are all complex.
+
+    Returns the rotated instance and U."""
+    rng = np.random.default_rng(seed)
+    n = len(p.h0)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+    def rot(M):
+        M = U @ M @ U.conj().T
+        return (M + M.conj().T) / 2
+
+    (S, T), (zs, zt) = p.generators, p.couplings
+    # zs S + zt T = z (S + T) + w (S - T) with z, w = (zs +- zt) / 2
+    z, w = (zs + zt) / 2, (zs - zt) / 2
+    return PerturbedOperator(rot(p.h0), (rot(S + T), rot(S - T)), (z, w)), U
+
+
+def solve_all(p):
+    q1 = solve_q1(p)
+    q2 = solve_q2(p, q1)
+    return q1, q2, equivalent_h(p, q1), eta_from_q(q1, q2)
 
 
 class TestSolveQ1:
@@ -176,6 +204,14 @@ class TestEtaAndObservables:
             v = rng.normal(size=5) + 1j * rng.normal(size=5)
             assert (v.conj() @ eta @ v).real > 0
 
+    def test_exponential_pair_of_real_matrix_inverts(self):
+        # a real eigenvector matrix V is its own V.conj(): the adjoint
+        # taken for exp(A) must not see the in-place scaling for exp(-A)
+        rng = np.random.default_rng(36)
+        B = rng.normal(size=(6, 6))
+        exp_a, exp_minus_a = _expm_pair_hermitian(0.1 * (B + B.T))
+        assert np.linalg.norm(exp_a @ exp_minus_a - np.eye(6)) <= 1e-12
+
     def test_observable_pseudo_hermiticity_cubic(self):
         rng = np.random.default_rng(35)
         C = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -190,6 +226,36 @@ class TestEtaAndObservables:
             return np.linalg.norm(O.conj().T - eta @ O @ np.linalg.inv(eta))
 
         assert resid(1e-2) / resid(5e-3) >= 6.0
+
+
+class TestBasisAndArithmetic:
+    """A diagonal H0 and real matrices take the fast path; the rotated,
+    complex instance takes the general one and must agree with it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**16),
+        zs=st.floats(5e-3, 2e-2) | st.floats(-2e-2, -5e-3),
+        zt=st.floats(5e-3, 2e-2),
+    )
+    def test_rotated_complex_instance_matches_diagonal_solve(self, n, seed, zs, zt):
+        # Q2 vanishes for n = 2 (and for zs = 0, which is kept out), so
+        # each difference is relative to ||Q1||^2 when that is larger
+        base = solvable_instance(n, 1.0, seed)
+        p = PerturbedOperator(base.h0, base.generators, (zs, 1j * zt))
+        p_rot, U = rotated(p, seed)
+        want = solve_all(p)
+        floor = np.linalg.norm(want[0]) ** 2
+        for w, got in zip(want, solve_all(p_rot)):
+            dev = np.linalg.norm(got - U @ w @ U.conj().T)
+            assert dev <= 1e-10 * max(np.linalg.norm(w), floor)
+
+    def test_outputs_are_complex(self):
+        p = solvable_instance(5, 1e-2, 38)
+        q1, q2, h, eta = solve_all(p)
+        hc = conjugated_h(p, QExpansion(q1, q2))
+        assert all(M.dtype == complex for M in (q1, q2, h, eta, hc))
 
 
 class TestBoundary:
@@ -254,9 +320,8 @@ class TestBoundary:
 class TestCost:
     """The work the perturbation path does is the work its result needs."""
 
-    def test_three_eigendecompositions(self, monkeypatch):
-        # one for H0 (shared by both orders), one per exponential pair
-        p = solvable_instance(8, 1e-2, 60)
+    @staticmethod
+    def _count_eigh(monkeypatch, p):
         calls = []
         real = np.linalg.eigh
 
@@ -269,7 +334,16 @@ class TestCost:
         q2 = solve_q2(p, q1)
         eta_from_q(q1, q2)
         conjugated_h(p, QExpansion(q1, q2))
-        assert len(calls) == 3
+        return len(calls)
+
+    def test_three_eigendecompositions(self, monkeypatch):
+        # one for H0 (shared by both orders), one per exponential pair
+        p, _ = rotated(solvable_instance(8, 1e-2, 60), 60)
+        assert self._count_eigh(monkeypatch, p) == 3
+
+    def test_diagonal_h0_needs_no_decomposition(self, monkeypatch):
+        # a diagonal H0 is its own eigenbasis: one eigh per exponential pair
+        assert self._count_eigh(monkeypatch, solvable_instance(8, 1e-2, 60)) == 2
 
     def test_json_matches_elementwise_oracle(self):
         # the element-wise [re, im] comprehension the wire format was
