@@ -343,7 +343,10 @@ class TestCost:
 
     def test_diagonal_h0_needs_no_decomposition(self, monkeypatch):
         # a diagonal H0 is its own eigenbasis: one eigh per exponential pair
-        assert self._count_eigh(monkeypatch, solvable_instance(8, 1e-2, 60)) == 2
+        p = solvable_instance(8, 1e-2, 60)
+        assert self._count_eigh(monkeypatch, p) == 2
+        E, V = p.h0_eigh
+        assert np.array_equal(E, np.diag(p.h0).real) and np.array_equal(V, np.eye(8))
 
     def test_json_matches_elementwise_oracle(self):
         # the element-wise [re, im] comprehension the wire format was
