@@ -12,8 +12,11 @@ physical units happens at the CLI boundary via PhysicalContext.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -40,28 +43,33 @@ __all__ = [
     "p_kernel",
 ]
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class GaussianPacket:
     """Normalized Gaussian wave packet with width sigma, mean momentum k0
     and mean position x0:  pi^{-1/4} sigma^{-1/2}
-    exp(-(x-x0)^2 / 2 sigma^2 + i k0 x)."""
+    exp(-(x-x0)^2 / 2 sigma^2 + i k0 x).
+
+    sigma, k0 and x0 are stored as Python floats, so the scalar closed
+    forms built on them run in float arithmetic."""
 
     sigma: float
     k0: float = 0.0
     x0: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.sigma, self.k0, self.x0])):
+        for name in ("sigma", "k0", "x0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (math.isfinite(self.sigma) and math.isfinite(self.k0) and math.isfinite(self.x0)):
             raise DomainError("packet sigma, k0 and x0 must be finite")
         if self.sigma <= 0:
             raise DomainError("packet width sigma must be positive")
 
     @property
     def _norm(self):
-        return np.pi ** (-0.25) / np.sqrt(self.sigma)
+        return math.pi ** (-0.25) / math.sqrt(self.sigma)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -81,34 +89,36 @@ class GaussianPacket:
 
 def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0):
     """Closed form of int_lo^hi psi(x) e^{i phase x} dx; lo/hi may be
-    +-inf.
+    +-inf.  Returns a Python complex.
 
     Evaluated through the scaled Faddeeva function: the naive
     prefactor-times-erf product overflows once |k0 + phase|*sigma is a few
     tens, while the honest combination (a boundary term of magnitude
-    exp(-(t-x0)^2/2 sigma^2)) stays bounded for any phase.
+    exp(-(t-x0)^2/2 sigma^2)) stays bounded for any phase.  Every
+    exponent has a non-positive real part, so cmath.exp can only
+    underflow, and that quietly gives 0.
     """
     import scipy.special
 
     s, x0 = packet.sigma, packet.x0
-    kap = packet.k0 + phase
-    amp = packet._norm * s * np.sqrt(np.pi / 2)
-    with np.errstate(under="ignore"):
-        pref = amp * np.exp(1j * kap * x0 - kap**2 * s**2 / 2)
+    kap = packet.k0 + float(phase)
+    amp = packet._norm * s * math.sqrt(math.pi / 2)
+    pref = amp * cmath.exp(1j * kap * x0 - kap**2 * s**2 / 2)
 
     def pref_times_end(t):
-        if np.isposinf(t):
+        if t == math.inf:
             return pref
-        if np.isneginf(t):
+        if t == -math.inf:
             return -pref
         w = (t - x0 - 1j * kap * s**2) / (_SQRT2 * s)
         # pref * exp(-w^2), combined analytically (bounded for all kap)
-        e_t = amp * np.exp(1j * kap * t - (t - x0) ** 2 / (2 * s**2))
+        e_t = amp * cmath.exp(1j * kap * t - (t - x0) ** 2 / (2 * s**2))
+        # complex() keeps the arithmetic in Python complex, not numpy scalars
         if w.real >= 0:
-            return pref - e_t * scipy.special.wofz(1j * w)
-        return e_t * scipy.special.wofz(-1j * w) - pref
+            return pref - e_t * complex(scipy.special.wofz(1j * w))
+        return e_t * complex(scipy.special.wofz(-1j * w)) - pref
 
-    return pref_times_end(hi) - pref_times_end(lo)
+    return pref_times_end(float(hi)) - pref_times_end(float(lo))
 
 
 @dataclass(frozen=True)
@@ -175,11 +185,23 @@ def h_kernel(c: Couplings) -> DistributionalKernel:
 @dataclass(frozen=True)
 class ApplyHResult:
     """Action of the equivalent Hermitian Hamiltonian at a point: the
-    regular value plus the coefficients of delta(x -+ a)."""
+    regular value plus the coefficients of delta(x -+ a).
+
+    The delta coefficients do not depend on x; each integrates its window
+    on first read, so integrating ``regular`` over x integrates none.
+    """
 
     regular: complex
-    delta_plus: complex
-    delta_minus: complex
+    _plus: Callable[[], complex] = field(repr=False, compare=False)
+    _minus: Callable[[], complex] = field(repr=False, compare=False)
+
+    @cached_property
+    def delta_plus(self) -> complex:
+        return self._plus()
+
+    @cached_property
+    def delta_minus(self) -> complex:
+        return self._minus()
 
 
 def apply_h(
@@ -194,8 +216,8 @@ def apply_h(
     psi must be array-callable (a float ndarray in, an ndarray of the same
     shape out) and twice differentiable at x; supply psi_dd or use a
     packet exposing ``second_derivative``.  The two window integrals are
-    energy_quadrature's.  Outside |x| <= 3a the regular part is exactly
-    -psi''(x).
+    energy_quadrature's, taken when a delta coefficient is first read.
+    Outside |x| <= 3a the regular part is exactly -psi''(x).
     """
     _require_class(c)
     a = c.a
@@ -205,14 +227,19 @@ def apply_h(
     if psi_dd is None:
         raise DomainError("supply psi_dd (second derivative) for plain callables")
 
-    int_m, int_p = _windows(psi, a, spec)
     regular = -psi_dd(x) + (lam2 / 8) * (
         (theta(x + a) - theta(x - 3 * a)) * psi(-a)
         + (theta(x + 3 * a) - theta(x - a)) * psi(a)
     )
-    delta_plus = c.z_plus.real * psi(a) + (lam2 / 8) * int_p
-    delta_minus = c.z_minus.real * psi(-a) + (lam2 / 8) * int_m
-    return ApplyHResult(complex(regular), complex(delta_plus), complex(delta_minus))
+    return ApplyHResult(
+        complex(regular),
+        lambda: complex(
+            c.z_plus.real * psi(a) + (lam2 / 8) * _panel_integral(psi, psi, -3 * a, a, spec)
+        ),
+        lambda: complex(
+            c.z_minus.real * psi(-a) + (lam2 / 8) * _panel_integral(psi, psi, -a, 3 * a, spec)
+        ),
+    )
 
 
 # a kernel without terms: _panel_width then sees the packet's scales only
@@ -270,10 +297,15 @@ def energy_quadrature(
 
 
 def _require_profile_args(a, sigma, t, t_name):
+    """The three profile arguments as Python floats, checked."""
+    a, sigma, t = float(a), float(sigma), float(t)
     if not (math.isfinite(a) and math.isfinite(sigma) and math.isfinite(t)):
         raise DomainError(f"a, sigma and {t_name} must be finite")
+    if a <= 0:
+        raise DomainError("half-separation a must be positive")
     if sigma <= 0:
         raise DomainError("sigma must be positive")
+    return a, sigma, t
 
 
 def u_fn(a: float, sigma: float, k: float) -> float:
@@ -288,27 +320,31 @@ def u_fn(a: float, sigma: float, k: float) -> float:
     large k*sigma, where the naive bracket overflows (the true decay is
     algebraic, set by the finite integration windows, not Gaussian).
     """
-    _require_profile_args(a, sigma, k, "k")
+    a, sigma, k = _require_profile_args(a, sigma, k, "k")
     import scipy.special
 
-    w1 = (1j * k * sigma**2 + 3 * a) / (_SQRT2 * sigma)  # Re > 0
-    w2 = (1j * k * sigma**2 - a) / (_SQRT2 * sigma)      # Re < 0
-    pref = np.exp(-(a**2 + k**2 * sigma**4) / (2 * sigma**2))
+    a2, s2 = a**2, sigma**2
+    w1 = (1j * k * s2 + 3 * a) / (_SQRT2 * sigma)  # Re > 0
+    w2 = (1j * k * s2 - a) / (_SQRT2 * sigma)      # Re < 0
+    pref = math.exp(-(a2 + k**2 * sigma**4) / (2 * s2))
     # pref * exp(-w^2) in closed form, free of intermediate overflow
-    e1 = np.exp(-5 * a**2 / sigma**2 - 3j * a * k)
-    e2 = np.exp(-(a**2) / sigma**2 + 1j * a * k)
-    # pref*erf(w1) = pref - e1 wofz(i w1);  pref*erf(w2) = e2 wofz(-i w2) - pref
-    val = 2 * pref - e1 * scipy.special.wofz(1j * w1) - e2 * scipy.special.wofz(-1j * w2)
-    return float((np.exp(-1j * k * a) * val).real)
+    e1 = cmath.exp(-5 * a2 / s2 - 3j * a * k)
+    e2 = cmath.exp(-a2 / s2 + 1j * a * k)
+    # pref*erf(w1) = pref - e1 wofz(i w1);  pref*erf(w2) = e2 wofz(-i w2) - pref;
+    # complex() keeps the arithmetic in Python complex, not numpy scalars
+    val = (
+        2 * pref
+        - e1 * complex(scipy.special.wofz(1j * w1))
+        - e2 * complex(scipy.special.wofz(-1j * w2))
+    )
+    return (cmath.exp(-1j * k * a) * val).real
 
 
 def v_fn(a: float, sigma: float, x0: float) -> float:
     """Local-potential profile of a stationary shifted packet (the
     antisymmetric combination of the two delta weights)."""
-    _require_profile_args(a, sigma, x0, "x0")
-    return float(
-        np.exp(-((x0 - a) ** 2) / sigma**2) - np.exp(-((x0 + a) ** 2) / sigma**2)
-    )
+    a, sigma, x0 = _require_profile_args(a, sigma, x0, "x0")
+    return math.exp(-((x0 - a) ** 2) / sigma**2) - math.exp(-((x0 + a) ** 2) / sigma**2)
 
 
 def w_fn(a: float, sigma: float, x0: float) -> float:
@@ -321,7 +357,7 @@ def w_fn(a: float, sigma: float, x0: float) -> float:
     |x0|/sigma, and x0 -> -x0 swaps the two terms: W is even in x0
     exactly, not just to rounding.
     """
-    _require_profile_args(a, sigma, x0, "x0")
+    a, sigma, x0 = _require_profile_args(a, sigma, x0, "x0")
     s = _SQRT2 * sigma
 
     def part(u, v):

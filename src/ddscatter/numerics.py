@@ -168,8 +168,9 @@ def _unit_panels(count):
     """Gauss-Legendre nodes and weights of `count` equal panels on [0, 1]."""
     left = np.arange(count)[:, None] / count
     t = (left + (_GL_NODES + 1.0) / (2 * count)).ravel()
-    w = np.tile(_GL_WEIGHTS / (2 * count), count)
-    return t, w
+    w = np.empty((count, _GL_WEIGHTS.size))
+    w[:] = _GL_WEIGHTS / (2 * count)
+    return t, w.ravel()
 
 
 def _converge(rule, base_panels, spec):

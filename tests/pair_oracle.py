@@ -4,24 +4,44 @@ This is the pairing ddscatter used before the panel Gauss-Legendre rule,
 kept as an independent reference for it.  Dirac factors are integrated
 out by hand, as in kernels.kernel_pair; the rest is nested
 ``integrate_1d`` calls with every factor kink, and every crossing of two
-factor lines, declared as a breakpoint, and the kernel is evaluated one
-point at a time through ``KernelPrimitive.value``.  It is slow (about a
-second per 2D pairing on a small box) and is not part of the package.
+factor lines, declared as a breakpoint.  QUADPACK asks for one point at
+a time, so the packets and the kernel factors are transcribed here as
+scalar ``math``/``cmath`` functions of Python floats, not evaluated
+through the package's array code.  It is still slow (up to a second per
+2D pairing on a small box) and is not part of the package.
 """
 
+import cmath
+import math
 from dataclasses import replace
-
-import numpy as np
 
 from ddscatter.kernels import _ARG_COEFFS, _infer_support, _solve_dirac_point
 from ddscatter.numerics import DEFAULT_SPEC, integrate_1d
 
+_FACTOR = {
+    "const": lambda u, rate: 1.0,
+    "sign": lambda u, rate: float((u > 0) - (u < 0)),
+    "heaviside": lambda u, rate: 0.5 * ((u > 0) - (u < 0) + 1),
+    "exp_abs": lambda u, rate: math.exp(-rate * abs(u)),
+    "abs": lambda u, rate: abs(u),
+    "linear": lambda u, rate: u,
+}
+
+
+def _packet(g, conjugate=False):
+    """The GaussianPacket g (or its conjugate) at one float x."""
+    norm = math.pi ** (-0.25) / math.sqrt(g.sigma)
+    width2 = 2 * g.sigma**2
+    ik0 = -1j * g.k0 if conjugate else 1j * g.k0
+    return lambda x: norm * cmath.exp(-((x - g.x0) ** 2) / width2 + ik0 * x)
+
 
 def _term_value(t, x, y):
-    v = t.coefficient
+    v = complex(t.coefficient)
     for f in t.regular_factors:
-        v = v * f.value(x, y)
-    return complex(v)
+        cx, cy = _ARG_COEFFS[f.argument]
+        v *= _FACTOR[f.kind](cx * x + cy * y + f.shift, f.rate)
+    return v
 
 
 def _y_breakpoints(factors, x):
@@ -43,20 +63,22 @@ def _x_breakpoints_at(factors, y):
 
 
 def oracle_pair(kern, bra, ket, spec=DEFAULT_SPEC, support=None):
-    """<bra | K | ket> by iterated adaptive quadrature."""
+    """<bra | K | ket> by iterated adaptive quadrature; bra and ket are
+    GaussianPackets."""
     lo, hi = support if support is not None else _infer_support(bra, ket)
+    bra, ket = _packet(bra, conjugate=True), _packet(ket)
     total = 0.0 + 0.0j
     if kern.identity_coefficient != 0:
         total += kern.identity_coefficient * integrate_1d(
-            lambda x: np.conj(bra(x)) * ket(x), lo, hi, spec
+            lambda x: bra(x) * ket(x), lo, hi, spec
         )
     regular_group = []
     for t in kern.terms:
         diracs = t.dirac_factors
         if len(diracs) == 2:
-            x0, y0, jac = _solve_dirac_point(diracs)
+            x0, y0, jac = (float(v) for v in _solve_dirac_point(diracs))
             if lo <= x0 <= hi and lo <= y0 <= hi:
-                total += jac * _term_value(t, x0, y0) * np.conj(bra(x0)) * ket(y0)
+                total += jac * _term_value(t, x0, y0) * bra(x0) * ket(y0)
         elif len(diracs) == 1:
             total += _single_dirac(t, diracs[0], bra, ket, lo, hi, spec)
         else:
@@ -74,7 +96,7 @@ def _single_dirac(t, d, bra, ket, lo, hi, spec):
         if not (lo <= x0 <= hi):
             return 0.0
         return integrate_1d(
-            lambda y: _term_value(t, x0, y) * np.conj(bra(x0)) * ket(y),
+            lambda y: _term_value(t, x0, y) * bra(x0) * ket(y),
             lo, hi, spec, points=_y_breakpoints(reg, x0),
         )
     if cx == 0:  # delta in y alone
@@ -82,7 +104,7 @@ def _single_dirac(t, d, bra, ket, lo, hi, spec):
         if not (lo <= y0 <= hi):
             return 0.0
         return integrate_1d(
-            lambda x: _term_value(t, x, y0) * np.conj(bra(x)) * ket(y0),
+            lambda x: _term_value(t, x, y0) * bra(x) * ket(y0),
             lo, hi, spec, points=_x_breakpoints_at(reg, y0),
         )
 
@@ -91,7 +113,7 @@ def _single_dirac(t, d, bra, ket, lo, hi, spec):
         x = (-d.shift - cy * y) / cx
         if x < lo or x > hi:
             return 0.0
-        return _term_value(t, x, y) * np.conj(bra(x)) * ket(y)
+        return _term_value(t, x, y) * bra(x) * ket(y)
 
     pts = []
     for f in reg:
@@ -119,7 +141,7 @@ def _regular_group(terms, bra, ket, lo, hi, spec):
                 x_cuts.append((-f.shift * gy + g.shift * fy) / det)
 
     def outer(x):
-        bx = np.conj(bra(x))
+        bx = bra(x)
         if bx == 0:
             return 0.0
         return bx * integrate_1d(

@@ -26,6 +26,7 @@ from ddscatter import (
     matrix_inv_sqrt,
     refine_root,
 )
+from ddscatter.numerics import _GL_WEIGHTS, _unit_panels
 from ddscatter.verify import I22_ALPHAS, INM_TOL, erf_segment_oracle, i22_error
 
 
@@ -99,6 +100,13 @@ class TestIntegratePanels:
             integrate_panels(lambda x: np.exp(-x * x), -8.0, 8.0, 4.0, spec)
         assert 0 < info.value.error_bound < 1e-3
         assert abs(info.value.estimate - np.sqrt(np.pi)) < 1e-3
+
+    @pytest.mark.parametrize("count", [1, 3, 17, 256])
+    def test_unit_panel_weights_match_tiled(self, count):
+        # the np.tile construction the tables were first built with
+        t, w = _unit_panels(count)
+        assert w.tobytes() == np.tile(_GL_WEIGHTS / (2 * count), count).tobytes()
+        assert t.shape == w.shape == (12 * count,)
 
 
 class TestMatrixInvSqrt:

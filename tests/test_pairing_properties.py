@@ -17,7 +17,7 @@ from ddscatter import (
 from pair_oracle import oracle_pair
 
 # derandomized, so every run draws the same examples; the oracle costs
-# about a second per example, which bounds its count
+# up to a fifth of a second per example, which bounds its count
 SETTINGS = settings(derandomize=True, deadline=None)
 
 REGULAR_KINDS = ["const", "sign", "heaviside", "exp_abs", "abs", "linear"]
