@@ -103,7 +103,7 @@ def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0
     s, x0 = packet.sigma, packet.x0
     kap = packet.k0 + float(phase)
     amp = packet._norm * s * math.sqrt(math.pi / 2)
-    pref = amp * cmath.exp(1j * kap * x0 - kap**2 * s**2 / 2)
+    pref = amp * cmath.exp(1j * kap * x0 - kap * kap * s**2 / 2)
 
     def pref_times_end(t):
         if t == math.inf:
@@ -112,7 +112,7 @@ def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0
             return -pref
         w = (t - x0 - 1j * kap * s**2) / (_SQRT2 * s)
         # pref * exp(-w^2), combined analytically (bounded for all kap)
-        e_t = amp * cmath.exp(1j * kap * t - (t - x0) ** 2 / (2 * s**2))
+        e_t = amp * cmath.exp(1j * kap * t - (t - x0) * (t - x0) / (2 * s**2))
         # complex() keeps the arithmetic in Python complex, not numpy scalars
         if w.real >= 0:
             return pref - e_t * complex(scipy.special.wofz(1j * w))
@@ -326,7 +326,7 @@ def u_fn(a: float, sigma: float, k: float) -> float:
     a2, s2 = a**2, sigma**2
     w1 = (1j * k * s2 + 3 * a) / (_SQRT2 * sigma)  # Re > 0
     w2 = (1j * k * s2 - a) / (_SQRT2 * sigma)      # Re < 0
-    pref = math.exp(-(a2 + k**2 * sigma**4) / (2 * s2))
+    pref = math.exp(-(a2 + k * k * sigma**4) / (2 * s2))
     # pref * exp(-w^2) in closed form, free of intermediate overflow
     e1 = cmath.exp(-5 * a2 / s2 - 3j * a * k)
     e2 = cmath.exp(-a2 / s2 + 1j * a * k)
@@ -344,7 +344,11 @@ def v_fn(a: float, sigma: float, x0: float) -> float:
     """Local-potential profile of a stationary shifted packet (the
     antisymmetric combination of the two delta weights)."""
     a, sigma, x0 = _require_profile_args(a, sigma, x0, "x0")
-    return math.exp(-((x0 - a) ** 2) / sigma**2) - math.exp(-((x0 + a) ** 2) / sigma**2)
+
+    def gauss(u):
+        return math.exp(-(u * u) / sigma**2)
+
+    return gauss(x0 - a) - gauss(x0 + a)
 
 
 def w_fn(a: float, sigma: float, x0: float) -> float:
@@ -361,7 +365,7 @@ def w_fn(a: float, sigma: float, x0: float) -> float:
     s = _SQRT2 * sigma
 
     def part(u, v):
-        return math.exp(-((u / s) ** 2)) * (math.erf(u / s) + math.erf(v / s))
+        return math.exp(-(u / s) * (u / s)) * (math.erf(u / s) + math.erf(v / s))
 
     return part(a + x0, 3 * a - x0) + part(a - x0, 3 * a + x0)
 

@@ -262,6 +262,13 @@ class TestProfiles:
             fn(1.0, 0.0, 0.3)
 
     @pytest.mark.parametrize("fn", [u_fn, v_fn, w_fn])
+    def test_huge_finite_argument(self, fn):
+        # squaring k or x0 = 1e200 once raised OverflowError (u_fn, v_fn)
+        # or warned of overflow (w_fn); the true values are below 1e-200
+        for t in (1e200, -1e200):
+            assert abs(fn(1.0, 1.5, t)) < 1e-200
+
+    @pytest.mark.parametrize("fn", [u_fn, v_fn, w_fn])
     @pytest.mark.parametrize("a", [0.0, -1.0])
     def test_non_positive_a_rejected(self, fn, a):
         # u_fn(-1, 1, 0.3) once returned -0.919, and u_fn(-3, 0.2, 40) took
@@ -361,6 +368,15 @@ class TestScalarArithmetic:
             want = gaussian_segment_integral(g, lo, hi, 2.5)
             got = gaussian_segment_integral(g_np, np.float64(lo), np.float64(hi), np.float64(2.5))
             assert got == want
+
+    def test_segment_integral_huge_k0_or_x0(self):
+        # k0 or x0 = 1e200 once raised OverflowError squaring it
+        whole = math.sqrt(2.0) * math.pi**0.25  # int psi dx at sigma = 1, k0 = 0
+        far, fast = GaussianPacket(1.0, 0.0, 1e200), GaussianPacket(1.0, 1e200, 0.0)
+        for lo, hi in SEGMENTS["infinite"] + SEGMENTS["finite"]:
+            want = whole if hi == np.inf else 0.0
+            assert abs(gaussian_segment_integral(far, lo, hi) - want) <= 1e-15
+            assert abs(gaussian_segment_integral(fast, lo, hi)) <= 1e-150
 
 
 class TestObservableKernels:
