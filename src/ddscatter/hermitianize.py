@@ -96,7 +96,8 @@ def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0
     tens, while the honest combination (a boundary term of magnitude
     exp(-(t-x0)^2/2 sigma^2)) stays bounded for any phase.  Every
     exponent has a non-positive real part, so cmath.exp can only
-    underflow, and that quietly gives 0.
+    underflow, and that quietly gives 0; the unbounded squares are
+    products, as in the profiles below.
     """
     import scipy.special
 
@@ -297,7 +298,11 @@ def energy_quadrature(
 
 
 def _require_profile_args(a, sigma, t, t_name):
-    """The three profile arguments as Python floats, checked."""
+    """The three profile arguments as Python floats, checked.
+
+    The profiles square k and x0 by multiplication: a float ``**`` raises
+    OverflowError past 1.3e154, where a product goes to inf and its
+    Gaussian factor to 0."""
     a, sigma, t = float(a), float(sigma), float(t)
     if not (math.isfinite(a) and math.isfinite(sigma) and math.isfinite(t)):
         raise DomainError(f"a, sigma and {t_name} must be finite")
