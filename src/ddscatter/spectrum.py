@@ -7,6 +7,21 @@ are counted and refined as zeros of H(k) = k M_22(k) = -F(k)/(4k), where
 F(k) = (2ik - z_+)(2ik - z_-) - z_+ z_- e^{4iak} is entire with a simple
 zero at k = 0: H is regular at k = 0 and has the same zeros as M_22 in
 the open upper half plane, so contours near k = 0 see no pole.
+
+Spectral singularities need no search window.  For real k,
+|e^{4iak}| = 1, so every real zero of F is a root of
+P(k) = |2ik - z_+|^2 |2ik - z_-|^2 - |z_+ z_-|^2.  P(0) = 0, and P(k)/(16k)
+is the monic cubic k^3 + b k^2 + c k + d with b = -(y_+ + y_-),
+c = (|z_+|^2 + |z_-|^2 + 4 y_+ y_-)/4 and d = -(y_+ |z_-|^2 + y_- |z_+|^2)/4,
+y_+- = Im z_+-; in the PT-symmetric and antisymmetric modes it reduces
+to k^2 = (y^2 - x^2)/2 for z_+ = x + iy.  Its roots, in closed form, seed
+Newton on M_22.  An explicit k_max only drops the singularities above it.
+
+Bound states are searched in a rectangle that covers the disc
+|k| <= (|z_+| + |z_-|)/2, which holds every zero of F with Im k >= 0
+(there |e^{4iak}| <= 1).  When the roots located in it do not match the
+argument-principle count, count_bound_states raises NoConvergenceError.
+
 Coupling-plane scans classify each grid cell and flag the
 quasi-Hermitian region (no singularities, all bound-state energies
 real).
@@ -14,7 +29,9 @@ real).
 
 from __future__ import annotations
 
+import cmath
 import concurrent.futures
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +54,7 @@ K_MIN_CUT = 1e-3           # small-k exclusion: the 1/k enhancement is genuine
 _SS_RESIDUAL_TOL = 1e-10   # |M22| at an accepted spectral singularity
 _SS_IMAG_TOL = 1e-8        # |Im k| at an accepted spectral singularity
 _REAL_ENERGY_TOL = 1e-8    # |Im k^2| for a bound state to count as real energy
-# |M_22| is sampled in blocks of at most this many points, so that every
-# complex temporary stays under 64 kB: glibc's allocator returns the top
-# of its heap to the OS only when a chunk that large is freed, and
-# whole-range temporaries (80 kB each at k_max = 20) made every cell
-# page-fault its working memory in again (about 90 us a cell)
-_SAMPLE_BLOCK = 4000
+_CUBE_ROOTS_OF_UNITY = (1.0, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3))
 
 
 @dataclass(frozen=True)
@@ -89,53 +101,65 @@ class ScanCell:
         return self
 
 
-def find_spectral_singularities(c: Couplings, k_max: float, n_samples: int = None):
-    """All real zeros of M_22 on (K_MIN_CUT, k_max].
+def find_spectral_singularities(c: Couplings, k_max: float = None):
+    """All real zeros of M_22 above K_MIN_CUT, and at most k_max if given.
 
-    Dense |M_22| sampling seeds local minima, Newton refinement polishes
-    them, and a candidate is accepted only if |M_22| <= 1e-10 with
-    |Im k| <= 1e-8.  Refinement failures are skipped (reported via the
-    returned diagnostics of scan cells; the scan itself never aborts).
+    Newton refinement is seeded from each root of _candidate_cubic with
+    real part above K_MIN_CUT; a refined root is accepted only if
+    |M_22| <= 1e-10 with |Im k| <= 1e-8.  Refinement failures are skipped.
     """
-    if k_max <= K_MIN_CUT:
-        raise DomainError("k_max must exceed the small-k cut 1e-3")
-    if n_samples is None:
-        # resolve the e^{4iak} oscillation: ~40 samples per period
-        n_samples = int(max(2000, 40 * 4 * c.a * k_max / (2 * np.pi) * 10))
-    ks = np.linspace(K_MIN_CUT, k_max, n_samples)
-    # the fewest equal blocks of at most _SAMPLE_BLOCK points
-    step = -(-n_samples // -(-n_samples // _SAMPLE_BLOCK))
-    vals = np.concatenate([np.abs(m22(c, ks[i:i + step])) for i in range(0, n_samples, step)])
-    interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    # only minima that plausibly dip toward zero are worth refining
-    cand = np.where(interior & (vals[1:-1] < 0.5))[0] + 1
-
+    if k_max is None:
+        k_max = math.inf
+    elif not (math.isfinite(k_max) and k_max > K_MIN_CUT):
+        raise DomainError("k_max must be finite and exceed the small-k cut 1e-3")
     roots = []
     f = lambda k: m22(c, k)
-    for idx in cand:
+    for seed in _candidate_cubic(c):
+        if seed.real <= K_MIN_CUT:
+            continue
         try:
-            root = refine_root(f, complex(ks[idx]))
+            root = refine_root(f, seed)
         except NoConvergenceError:
             continue
-        if abs(root.imag) > _SS_IMAG_TOL:
-            continue
         k = root.real
-        if not (K_MIN_CUT < k <= k_max):
+        if abs(root.imag) > _SS_IMAG_TOL or not K_MIN_CUT < k <= k_max:
             continue
-        if abs(f(k)) > _SS_RESIDUAL_TOL:
-            continue
-        if all(abs(k - r) > 1e-6 * max(1.0, k) for r in roots):
+        if abs(f(k)) <= _SS_RESIDUAL_TOL and all(abs(k - r) > 1e-6 * max(1.0, k) for r in roots):
             roots.append(k)
     return sorted(roots)
 
 
+def _candidate_cubic(c: Couplings):
+    """Roots of k^3 + b k^2 + c k + d = P(k)/(16k), by Cardano's formula.
+
+    For real k, |e^{4iak}| = 1, so every real zero of F is a root of
+    P(k) = |2ik - z_+|^2 |2ik - z_-|^2 - |z_+ z_-|^2, where
+    |2ik - z|^2 = 4k^2 - 4k Im z + |z|^2; P(0) = 0 for every coupling.
+    """
+    m = max(abs(c.z_plus), abs(c.z_minus)) or 1.0  # solve for k/m: no overflow at any |z|
+    (yp, sp), (ym, sm) = ((z.imag / m, abs(z / m) ** 2) for z in (c.z_plus, c.z_minus))
+    b, cc, d = -(yp + ym), (sp + sm + 4 * yp * ym) / 4, -(yp * sm + ym * sp) / 4
+    # k = t - b/3 gives t^3 + p t + q; the larger cube-root argument avoids cancellation
+    p, q = cc - b * b / 3, d + b * (2 * b * b - 9 * cc) / 27
+    s = cmath.sqrt(q * q / 4 + p * p * p / 27)
+    u = max(-q / 2 + s, -q / 2 - s, key=abs) ** (1 / 3)
+    if u == 0:  # p = q = 0: the triple root -b/3
+        return [complex(-m * b / 3)]
+    return [m * (u * w - p / (3 * u * w) - b / 3) for w in _CUBE_ROOTS_OF_UNITY]
+
+
 def default_bound_rect(c: Couplings) -> ComplexRect:
-    """Default upper-half-plane search window: bound-state zeros sit at
-    |k| = O(|z|) for small couplings, and the floor keeps clear of the
-    essential point k = 0."""
+    """Default upper-half-plane search window.
+
+    For Im k >= 0, |e^{4iak}| <= 1, so every zero of F there has
+    |k| <= (|z_+| + |z_-|)/2; the window covers that disc with a 25 %
+    margin.  Below the floors (3, 3|z|/a and 5) the disc sets neither
+    side, and the bottom edge keeps clear of the essential point k = 0.
+    """
     zmax = max(abs(c.z_plus), abs(c.z_minus), 1.0)
-    half = max(3.0, 3.0 * zmax / c.a)
-    return ComplexRect(-half, half, K_MIN_CUT, 5.0)
+    disc = 1.25 * 0.5 * (abs(c.z_plus) + abs(c.z_minus))
+    half = max(3.0, 3.0 * zmax / c.a, disc)
+    return ComplexRect(-half, half, K_MIN_CUT, max(5.0, disc))
 
 
 def count_bound_states(c: Couplings, rect: ComplexRect = None):
@@ -144,7 +168,8 @@ def count_bound_states(c: Couplings, rect: ComplexRect = None):
     total comes from the argument-principle count of the zeros of
     k M_22(k); real_energy from refining each isolated zero and testing
     |Im(k^2)| <= 1e-8.  ContourError propagates with a hint to perturb
-    the rectangle.
+    the rectangle; NoConvergenceError is raised when the zeros located do
+    not match the count.
     """
     if rect is None:
         rect = default_bound_rect(c)
@@ -154,6 +179,8 @@ def count_bound_states(c: Couplings, rect: ComplexRect = None):
     if total == 0:
         return 0, 0
     roots = bound_state_roots(c, rect, expected=total)
+    if len(roots) != total:
+        raise NoConvergenceError(f"located {len(roots)} of {total} bound states")
     real_energy = sum(1 for k in roots if abs((k * k).imag) <= _REAL_ENERGY_TOL)
     return total, real_energy
 
@@ -229,20 +256,21 @@ def scan_region(
     s_range,
     n: int,
     a: float = 1.0,
-    k_max: float = 20.0,
+    k_max: float = None,
     jobs: int = 1,
 ):
     """Grid of ScanCell over the (r, s) plane, row-major in (s, r).
 
     Cells are independent; with jobs != 1 they are computed by a process
-    pool and merged by index.  Deterministic for given inputs.  n, a and
-    k_max are checked before any cell runs (DomainError).
+    pool and merged by index.  Deterministic for given inputs.  k_max, if
+    given, drops the singularities above it.  n, a and k_max are checked
+    before any cell runs (DomainError).
     """
     if n < 2:
         raise DomainError("grid size n must be at least 2")
     if not (np.isfinite(a) and a > 0):
         raise DomainError("a must be positive and finite")
-    if not (np.isfinite(k_max) and k_max > K_MIN_CUT):
+    if k_max is not None and not (np.isfinite(k_max) and k_max > K_MIN_CUT):
         raise DomainError("k_max must be finite and exceed the small-k cut 1e-3")
     rs = np.linspace(r_range[0], r_range[1], n)
     ss = np.linspace(s_range[0], s_range[1], n)

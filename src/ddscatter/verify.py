@@ -593,6 +593,16 @@ def check_region_claims():
     )
 
 
+def check_singularity_no_window():
+    # antisymmetric z = i 27 pi/(2 sqrt2): one singularity, at k = 27 pi/4 ~ 21.2,
+    # above any k window a sampling search would need to fix in advance
+    z = 1j * 27 * np.pi / (2 * np.sqrt(2))
+    ss = spec.find_spectral_singularities(Couplings(z, -z, 1.0))
+    want = 27 * np.pi / 4
+    ok = len(ss) == 1 and abs(ss[0] - want) <= 1e-10
+    return ok, f"singularities {ss} at default arguments (expect [27 pi/4 = {want!r}] to 1e-10)"
+
+
 def check_grid_pseudo_hermiticity_weak():
     r1 = gridmod.weak_pseudo_hermiticity_residual(Couplings(0.1j, -0.1j, 1.0))
     r2 = gridmod.weak_pseudo_hermiticity_residual(Couplings(0.05j, -0.05j, 1.0))
@@ -665,6 +675,7 @@ CHECKS = {
     "perturbation.identities": (FAST, check_perturbation_identities),
     "spectrum.hermitian_row": (FAST, check_hermitian_row),
     "spectrum.region_claims": (FAST, check_region_claims),
+    "spectrum.singularity_no_window": (FAST, check_singularity_no_window),
     "metric.appendixA_spectral_oracle": (FULL, check_appendixA_spectral_oracle),
     "metric.spectral_estimate": (FULL, check_spectral_estimate),
     "metric.de_residual_scaling": (FULL, check_metric_de_scaling),

@@ -2,6 +2,7 @@
 and the mutation fixture proving the verifier catches injected errors."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -20,6 +21,11 @@ from ddscatter import metric as metric_mod
 from ddscatter.kernels import DistributionalKernel, KernelTerm
 
 
+# SHA-256 of the README fig-4 scan CSV; any change to a cell's counts,
+# flag or status changes it
+FIG4_SHA256 = "46fe0df2f3768f3a0489c34f5233e0371d638650e14cfabdf377a8eb7fd6a818"
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -32,8 +38,22 @@ class TestScanCommand:
             "scan", "--mode", "antisym", "--r", "0.1:0.5", "--s", "0:0",
             "--n", "2", "--out", str(out),
         ])
-        # degenerate s-range is a usage problem caught by numpy? keep n>=2 ranges
-        assert rc in (0, 2)
+        # s = 0 twice: real antisymmetric couplings, the Hermitian row
+        assert rc == 0
+        rows = read_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["n_spectral_singularities"] == "0"
+            assert row["quasi_hermitian"] == "true"
+
+    def test_readme_fig4_csv_digest(self, tmp_path):
+        # the README's fig-4 command; its CSV does not depend on --jobs
+        # (test_parallel_matches_serial), so it runs serially here
+        out = tmp_path / "fig4.csv"
+        rc = main(["scan", "--mode", "pt", "--r=-0.99:-0.01", "--s=-0.49:0.49", "--n", "41",
+                   "--a", "1", "--jobs", "1", "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG4_SHA256
 
     def test_grid_output_and_invariants(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -20,6 +20,7 @@ from ddscatter import (
     ComplexRect,
     Couplings,
     DomainError,
+    NoConvergenceError,
     ScanMode,
     bound_state_roots,
     count_bound_states,
@@ -95,6 +96,63 @@ class TestSpectralSingularities:
         found = find_spectral_singularities(c, 8.0)
         assert any(abs(r - k_star) < 1e-6 for r in found)
 
+    @pytest.mark.parametrize("k_max", [5e-4, np.nan, np.inf])
+    def test_bad_k_max_rejected(self, k_max):
+        with pytest.raises(DomainError):
+            find_spectral_singularities(Couplings(0.3j, -0.3j, 1.0), k_max)
+
+    @pytest.mark.parametrize("z", [1e60, 1e300])
+    def test_huge_couplings_do_not_overflow(self, z):
+        # the cubic's coefficients reach |z|^6; they are formed for k/|z|
+        for c in (Couplings(1j * z, -1j * z, 1.0), Couplings(0.5j * z, z, 1.0)):
+            assert isinstance(find_spectral_singularities(c), list)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        mode=st.sampled_from(["general", "pt_symmetric", "antisymmetric"]),
+        k0=st.floats(0.05, 40.0),
+        re_zm=st.floats(-3.0, 3.0),
+        im_zm=st.floats(-3.0, 3.0),
+        half_n=st.integers(0, 25),
+        a=st.floats(0.5, 2.0),
+    )
+    def test_constructed_singularity_recovered(self, mode, k0, re_zm, im_zm, half_n, a):
+        if mode == "general":
+            # F(k0) = (2ik0 - z_+)(2ik0 - z_-) - z_+ z_- e^{4iak0} is linear in z_+
+            zm = complex(re_zm, im_zm)
+            b = 2j * k0 - zm
+            zp = 2j * k0 * b / (b + zm * np.exp(4j * a * k0))
+            c = ScanMode("general", z_minus_fixed=zm).couplings(a * zp.real, a * zp.imag, a)
+        else:
+            # z_+ = -z_- = i n pi/(2 sqrt2 a), n odd: k0 = z_+/(i sqrt2) = n pi/(4a)
+            n = 2 * half_n + 1
+            c = ScanMode(mode).couplings(0.0, SS_CURVE(n), a)
+            k0 = n * np.pi / (4 * a)
+        found = find_spectral_singularities(c)
+        assert any(abs(k - k0) <= 1e-8 * max(1.0, k0) for k in found), (c, k0, found)
+
+    @pytest.mark.parametrize("bracket, im_zp", [((-2.0, -1.0), -1.64858), ((0.0, 1.0), 0.42756)])
+    def test_double_candidate_root(self, bracket, im_zp):
+        # where a singularity curve ends, k0 is a double root of
+        # P(k) = g_+(k) g_-(k) - |z_+ z_-|^2, g(k) = |2ik - z|^2 = 4k^2 - 4k Im z + |z|^2
+        k0 = 1.3
+
+        def couplings(y):
+            zp = complex(0.7, y)
+            b = 2j * k0 - zp
+            return Couplings(zp, 2j * k0 * b / (b + zp * np.exp(4j * k0)), 1.0)  # F(k0) = 0
+
+        def p_slope(y):
+            c = couplings(y)
+            g = lambda z: 4 * k0 * k0 - 4 * k0 * z.imag + abs(z) ** 2
+            dg = lambda z: 8 * k0 - 4 * z.imag
+            return dg(c.z_plus) * g(c.z_minus) + g(c.z_plus) * dg(c.z_minus)
+
+        y = brentq(p_slope, *bracket, xtol=1e-15)
+        assert abs(y - im_zp) < 1e-5
+        found = find_spectral_singularities(couplings(y))
+        assert len(found) == 1 and abs(found[0] - k0) < 1e-9
+
 
 class TestBoundStates:
     def test_free_none(self):
@@ -124,6 +182,27 @@ class TestBoundStates:
 
         with pytest.raises(DomainError):
             count_bound_states(Couplings(0.3, -0.3, 1.0), ComplexRect(-1, 1, -0.5, 3))
+
+    def test_large_real_couplings_two_real(self):
+        # z_+ = z_- = -12: F(i kappa) = 0 gives kappa = 6 -+ 6 e^{-2 kappa}, two
+        # bound states 7e-5 apart at Im k ~ 6, above the window's floor of 5
+        c = Couplings(-12, -12, 1)
+        assert count_bound_states(c) == (2, 2)
+        kappas = sorted(k.imag for k in bound_state_roots(c, default_bound_rect(c)))
+        fixed = [brentq(lambda x, sg=sg: x - 6 + sg * 6 * np.exp(-2 * x), 5.5, 6.5, xtol=1e-15)
+                 for sg in (1, -1)]
+        assert fixed == pytest.approx([5.999963132007482, 6.000036862556323], abs=1e-12)
+        assert kappas == pytest.approx(fixed, abs=1e-10)
+
+    def test_unresolved_pair_is_loud(self):
+        # z_+ = z_- = -20: the two bound states are about 4e-8 apart and the
+        # count (2) is not matched by the roots located
+        with pytest.raises(NoConvergenceError, match="bound states"):
+            count_bound_states(Couplings(-20, -20, 1))
+        grid = scan_region(ScanMode("pt_symmetric"), (-20.0, -20.0), (0.0, 0.0), 2)
+        for cell in grid.ravel():
+            assert cell.status.startswith("error: NoConvergenceError")
+            assert not cell.quasi_hermitian
 
     def test_count_matches_refined_roots(self):
         rng = np.random.default_rng(42)
