@@ -106,7 +106,7 @@ def _cmd_scan(args):
         z_minus_fixed=complex(args.z_minus_re, args.z_minus_im),
     )
     grid = scan_region(
-        mode, args.r, args.s, args.n, a=args.a, k_max=args.k_max, jobs=args.jobs
+        mode, args.r, args.s, args.n, a=args.a, jobs=args.jobs
     )
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -292,8 +292,6 @@ def build_parser():
     sc.add_argument("--s", type=_float_range, required=True, help="MIN:MAX")
     sc.add_argument("--n", type=int, required=True)
     sc.add_argument("--a", type=_finite_float, default=1.0)
-    sc.add_argument("--k-max", type=_finite_float, default=None,
-                    help="drop spectral singularities above this k (default: none dropped)")
     sc.add_argument("--jobs", type=int, default=1, help="0 = all cores")
     sc.add_argument("--z-minus-re", type=_finite_float, default=0.0, help="general mode only")
     sc.add_argument("--z-minus-im", type=_finite_float, default=0.0, help="general mode only")

@@ -15,7 +15,7 @@ is the monic cubic k^3 + b k^2 + c k + d with b = -(y_+ + y_-),
 c = (|z_+|^2 + |z_-|^2 + 4 y_+ y_-)/4 and d = -(y_+ |z_-|^2 + y_- |z_+|^2)/4,
 y_+- = Im z_+-; in the PT-symmetric and antisymmetric modes it reduces
 to k^2 = (y^2 - x^2)/2 for z_+ = x + iy.  Its roots, in closed form, seed
-Newton on M_22.  An explicit k_max only drops the singularities above it.
+Newton on M_22.
 
 Bound states are searched in a rectangle that covers the disc
 |k| <= (|z_+| + |z_-|)/2, which holds every zero of F with Im k >= 0
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import concurrent.futures
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,19 +100,15 @@ class ScanCell:
         return self
 
 
-def find_spectral_singularities(c: Couplings, k_max: float = None):
-    """All real zeros of M_22 above K_MIN_CUT, and at most k_max if given.
+def find_spectral_singularities(c: Couplings):
+    """All real zeros of M_22 above K_MIN_CUT, sorted.
 
     Newton refinement is seeded from each root of _candidate_cubic with
     real part above K_MIN_CUT; a refined root is accepted only if
     |M_22| <= 1e-10 with |Im k| <= 1e-8.  Refinement failures are skipped.
     """
-    if k_max is None:
-        k_max = math.inf
-    elif not (math.isfinite(k_max) and k_max > K_MIN_CUT):
-        raise DomainError("k_max must be finite and exceed the small-k cut 1e-3")
-    roots = []
     f = lambda k: m22(c, k)
+    roots = []
     for seed in _candidate_cubic(c):
         if seed.real <= K_MIN_CUT:
             continue
@@ -121,26 +116,29 @@ def find_spectral_singularities(c: Couplings, k_max: float = None):
             root = refine_root(f, seed)
         except NoConvergenceError:
             continue
-        k = root.real
-        if abs(root.imag) > _SS_IMAG_TOL or not K_MIN_CUT < k <= k_max:
+        if abs(root.imag) > _SS_IMAG_TOL:
             continue
-        if abs(f(k)) <= _SS_RESIDUAL_TOL and all(abs(k - r) > 1e-6 * max(1.0, k) for r in roots):
+        k = root.real
+        if k <= K_MIN_CUT:
+            continue
+        if abs(f(k)) > _SS_RESIDUAL_TOL:
+            continue
+        if all(abs(k - r) > 1e-6 * max(1.0, k) for r in roots):
             roots.append(k)
     return sorted(roots)
 
 
 def _candidate_cubic(c: Couplings):
-    """Roots of k^3 + b k^2 + c k + d = P(k)/(16k), by Cardano's formula.
-
-    For real k, |e^{4iak}| = 1, so every real zero of F is a root of
-    P(k) = |2ik - z_+|^2 |2ik - z_-|^2 - |z_+ z_-|^2, where
-    |2ik - z|^2 = 4k^2 - 4k Im z + |z|^2; P(0) = 0 for every coupling.
-    """
+    """Roots of the module docstring's cubic P(k)/(16k), by Cardano's formula."""
     m = max(abs(c.z_plus), abs(c.z_minus)) or 1.0  # solve for k/m: no overflow at any |z|
-    (yp, sp), (ym, sm) = ((z.imag / m, abs(z / m) ** 2) for z in (c.z_plus, c.z_minus))
-    b, cc, d = -(yp + ym), (sp + sm + 4 * yp * ym) / 4, -(yp * sm + ym * sp) / 4
+    yp, sp = c.z_plus.imag / m, abs(c.z_plus / m) ** 2
+    ym, sm = c.z_minus.imag / m, abs(c.z_minus / m) ** 2
+    b = -(yp + ym)
+    cc = (sp + sm + 4 * yp * ym) / 4
+    d = -(yp * sm + ym * sp) / 4
     # k = t - b/3 gives t^3 + p t + q; the larger cube-root argument avoids cancellation
-    p, q = cc - b * b / 3, d + b * (2 * b * b - 9 * cc) / 27
+    p = cc - b * b / 3
+    q = d + b * (2 * b * b - 9 * cc) / 27
     s = cmath.sqrt(q * q / 4 + p * p * p / 27)
     u = max(-q / 2 + s, -q / 2 - s, key=abs) ** (1 / 3)
     if u == 0:  # p = q = 0: the triple root -b/3
@@ -237,11 +235,11 @@ def _isolate(f, rect, n, out, depth):
 
 
 def _scan_cell(args):
-    mode, r, s, a, k_max = args
+    mode, r, s, a = args
     cell = ScanCell(r=r, s=s)
     try:
         c = mode.couplings(r, s, a)
-        cell.spectral_singularities = find_spectral_singularities(c, k_max)
+        cell.spectral_singularities = find_spectral_singularities(c)
         total, real_e = count_bound_states(c)
         cell.n_bound = total
         cell.n_bound_real_energy = real_e
@@ -256,25 +254,21 @@ def scan_region(
     s_range,
     n: int,
     a: float = 1.0,
-    k_max: float = None,
     jobs: int = 1,
 ):
     """Grid of ScanCell over the (r, s) plane, row-major in (s, r).
 
     Cells are independent; with jobs != 1 they are computed by a process
-    pool and merged by index.  Deterministic for given inputs.  k_max, if
-    given, drops the singularities above it.  n, a and k_max are checked
-    before any cell runs (DomainError).
+    pool and merged by index.  Deterministic for given inputs.  n and a
+    are checked before any cell runs (DomainError).
     """
     if n < 2:
         raise DomainError("grid size n must be at least 2")
     if not (np.isfinite(a) and a > 0):
         raise DomainError("a must be positive and finite")
-    if k_max is not None and not (np.isfinite(k_max) and k_max > K_MIN_CUT):
-        raise DomainError("k_max must be finite and exceed the small-k cut 1e-3")
     rs = np.linspace(r_range[0], r_range[1], n)
     ss = np.linspace(s_range[0], s_range[1], n)
-    tasks = [(mode, r, s, a, k_max) for s in ss for r in rs]
+    tasks = [(mode, r, s, a) for s in ss for r in rs]
     if jobs == 1:
         cells = [_scan_cell(t) for t in tasks]
     else:

@@ -571,7 +571,7 @@ def check_perturbation_identities():
 def check_hermitian_row():
     for r in (0.3, -0.8, 1.5, 2.0):
         c = Couplings(r, -r, 1.0)
-        ss = spec.find_spectral_singularities(c, 15.0)
+        ss = spec.find_spectral_singularities(c)
         if ss:
             return False, f"real coupling {r} produced singularities {ss}"
         total, real_e = spec.count_bound_states(c)
@@ -584,7 +584,7 @@ def check_region_claims():
     c = Couplings(0.3, -0.3, 1.0)
     total, real_e = spec.count_bound_states(c, ComplexRect(-1, 1, 1e-3, 3))
     ci = Couplings(0.3j, -0.3j, 1.0)
-    ss = spec.find_spectral_singularities(ci, 20.0)
+    ss = spec.find_spectral_singularities(ci)
     ti, _ = spec.count_bound_states(ci)
     ok = (total, real_e) == (1, 1) and ss == [] and ti == 0
     return ok, (
@@ -643,8 +643,8 @@ def check_fig1_symmetry():
         dn = spec.count_bound_states(mode.couplings(r, -s, 1.0))
         if up != dn:
             return False, f"(r,s)=({r},{s}) counts {up} vs {dn}"
-        ss_up = spec.find_spectral_singularities(mode.couplings(r, s, 1.0), 12.0)
-        ss_dn = spec.find_spectral_singularities(mode.couplings(r, -s, 1.0), 12.0)
+        ss_up = spec.find_spectral_singularities(mode.couplings(r, s, 1.0))
+        ss_dn = spec.find_spectral_singularities(mode.couplings(r, -s, 1.0))
         if len(ss_up) != len(ss_dn) or not np.allclose(ss_up, ss_dn, atol=1e-6):
             return False, f"singularity sets differ at (r,{s})"
     return True, "spectrum symmetric under s -> -s"

@@ -75,7 +75,7 @@ def test_criterion_04_pt_circle_bound_states():
     t0 = time.time()
     grid = scan_region(
         ScanMode("pt_symmetric"), (-0.99, -0.01), (-0.49, 0.49), 41,
-        k_max=10.0, jobs=0,
+        jobs=0,
     )
     violations = []
     inside = 0

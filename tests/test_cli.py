@@ -59,7 +59,7 @@ class TestScanCommand:
         out = tmp_path / "scan.csv"
         rc = main([
             "scan", "--mode", "antisym", "--r", "0.1:0.4", "--s=-0.1:0.1",
-            "--n", "2", "--k-max", "8", "--out", str(out),
+            "--n", "2", "--out", str(out),
         ])
         assert rc == 0
         rows = read_csv(out)
@@ -73,7 +73,7 @@ class TestScanCommand:
     def test_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["scan", "--mode", "pt", "--r=-0.6:-0.4", "--s", "0:0.2",
-                "--n", "2", "--k-max", "8"]
+                "--n", "2"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -83,7 +83,7 @@ class TestScanCommand:
         out = tmp_path / "scan.csv"
         env = dict(os.environ, PYTHONPATH=str(Path(ddscatter.__file__).parents[1]))
         argv = [sys.executable, "-m", "ddscatter.cli", "scan", "--mode", "pt",
-                "--r=-0.6:-0.4", "--s", "0:0.2", "--n", "2", "--k-max", "8",
+                "--r=-0.6:-0.4", "--s", "0:0.2", "--n", "2",
                 "--out", str(out)]
         sidecars = []
         for _ in range(2):
@@ -105,7 +105,7 @@ class TestScanCommand:
         monkeypatch.setattr(spectrum_mod, "count_bound_states", fail_upper)
         out = tmp_path / "scan.csv"
         rc = main(["scan", "--mode", "pt", "--r=-0.6:-0.4", "--s=-0.2:0.2", "--n", "2",
-                   "--k-max", "8", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert "2 of 4 scan cells failed" in capsys.readouterr().err
         statuses = [row["status"] for row in read_csv(out)]
@@ -137,7 +137,7 @@ def test_non_finite_value_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--k-max", "0.0005"], ["--a", "0"]])
+@pytest.mark.parametrize("flags", [["--n", "1"], ["--a", "0"]])
 def test_bad_scan_input_is_usage_error(flags, tmp_path, capsys):
     # rejected before any cell runs, so no cell fails and no CSV is written
     out = tmp_path / "scan.csv"

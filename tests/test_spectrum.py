@@ -39,14 +39,14 @@ SS_CURVE = lambda n, a=1.0: n * np.pi / (2 * np.sqrt(2) * a)
 
 class TestSpectralSingularities:
     def test_small_imaginary_clean(self):
-        assert find_spectral_singularities(Couplings(0.1j, -0.1j, 1.0), 20.0) == []
-        assert find_spectral_singularities(Couplings(0.3j, -0.3j, 1.0), 20.0) == []
+        assert find_spectral_singularities(Couplings(0.1j, -0.1j, 1.0)) == []
+        assert find_spectral_singularities(Couplings(0.3j, -0.3j, 1.0)) == []
 
     def test_on_curve_found(self):
         # first antisymmetric imaginary-coupling curve crossing
         s1 = SS_CURVE(1)
         c = Couplings(1j * s1, -1j * s1, 1.0)
-        roots = find_spectral_singularities(c, 10.0)
+        roots = find_spectral_singularities(c)
         assert len(roots) >= 1
         assert min(abs(r - s1 / np.sqrt(2)) for r in roots) < 1e-8
 
@@ -93,13 +93,8 @@ class TestSpectralSingularities:
             ComplexRect(k_star - 0.3, k_star + 0.3, -0.2, 0.2),
         )
         assert n == 1
-        found = find_spectral_singularities(c, 8.0)
+        found = find_spectral_singularities(c)
         assert any(abs(r - k_star) < 1e-6 for r in found)
-
-    @pytest.mark.parametrize("k_max", [5e-4, np.nan, np.inf])
-    def test_bad_k_max_rejected(self, k_max):
-        with pytest.raises(DomainError):
-            find_spectral_singularities(Couplings(0.3j, -0.3j, 1.0), k_max)
 
     @pytest.mark.parametrize("z", [1e60, 1e300])
     def test_huge_couplings_do_not_overflow(self, z):
@@ -265,7 +260,7 @@ class TestBoundStatesNearThePole:
 
 class TestScanRegion:
     def test_real_row_clean(self):
-        grid = scan_region(ScanMode("antisymmetric"), (0.1, 0.9), (0.0, 0.4), 3, k_max=10.0)
+        grid = scan_region(ScanMode("antisymmetric"), (0.1, 0.9), (0.0, 0.4), 3)
         for ri in range(3):
             cell = grid[0, ri]  # s = 0 row
             assert cell.spectral_singularities == []
@@ -273,21 +268,21 @@ class TestScanRegion:
             assert cell.quasi_hermitian
 
     def test_small_imaginary_dominated_clean(self):
-        grid = scan_region(ScanMode("antisymmetric"), (0.0, 0.1), (0.2, 0.3), 2, k_max=10.0)
+        grid = scan_region(ScanMode("antisymmetric"), (0.0, 0.1), (0.2, 0.3), 2)
         for cell in grid.ravel():
             if abs(cell.s) > abs(cell.r):
                 assert cell.n_bound == 0
 
     def test_conjugation_symmetry(self):
         mode = ScanMode("antisymmetric")
-        up = scan_region(mode, (0.3, 0.6), (0.8, 1.2), 2, k_max=10.0)
-        dn = scan_region(mode, (0.3, 0.6), (-1.2, -0.8), 2, k_max=10.0)
+        up = scan_region(mode, (0.3, 0.6), (0.8, 1.2), 2)
+        dn = scan_region(mode, (0.3, 0.6), (-1.2, -0.8), 2)
         for (cu, cd) in zip(up.ravel(), dn[::-1].ravel()):
             assert cu.n_bound == cd.n_bound
             assert len(cu.spectral_singularities) == len(cd.spectral_singularities)
 
     def test_cell_invariant(self):
-        grid = scan_region(ScanMode("pt_symmetric"), (-0.6, -0.4), (0.0, 0.2), 2, k_max=8.0)
+        grid = scan_region(ScanMode("pt_symmetric"), (-0.6, -0.4), (0.0, 0.2), 2)
         for cell in grid.ravel():
             assert cell.n_bound_real_energy <= cell.n_bound
             if cell.quasi_hermitian:
@@ -300,24 +295,25 @@ class TestScanRegion:
 
         monkeypatch.setattr(spectrum_mod, "count_bound_states", bug)
         with pytest.raises(TypeError):
-            scan_region(ScanMode("pt_symmetric"), (-0.6, -0.4), (0.0, 0.2), 2, k_max=8.0)
+            scan_region(ScanMode("pt_symmetric"), (-0.6, -0.4), (0.0, 0.2), 2)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"k_max": 5e-4}, {"k_max": np.nan}, {"k_max": np.inf}, {"a": 0.0}, {"a": np.inf}],
+        [{"n": 1}, {"a": -1.0}, {"a": np.nan}, {"a": 0.0}, {"a": np.inf}],
     )
     def test_bad_input_rejected_before_any_cell(self, kwargs, monkeypatch):
         def no_cell(task):
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(spectrum_mod, "_scan_cell", no_cell)
+        args = {"n": 2, **kwargs}
         with pytest.raises(DomainError):
-            scan_region(ScanMode("pt_symmetric"), (-0.99, -0.01), (-0.4, 0.4), 2, **kwargs)
+            scan_region(ScanMode("pt_symmetric"), (-0.99, -0.01), (-0.4, 0.4), **args)
 
     def test_parallel_matches_serial(self):
         mode = ScanMode("antisymmetric")
-        a = scan_region(mode, (0.1, 0.5), (0.1, 0.5), 2, k_max=8.0, jobs=1)
-        b = scan_region(mode, (0.1, 0.5), (0.1, 0.5), 2, k_max=8.0, jobs=2)
+        a = scan_region(mode, (0.1, 0.5), (0.1, 0.5), 2, jobs=1)
+        b = scan_region(mode, (0.1, 0.5), (0.1, 0.5), 2, jobs=2)
         for (ca, cb) in zip(a.ravel(), b.ravel()):
             assert (ca.r, ca.s, ca.n_bound, ca.n_bound_real_energy) == (
                 cb.r, cb.s, cb.n_bound, cb.n_bound_real_energy
@@ -329,8 +325,7 @@ def test_import_and_scan_leave_scipy_unloaded():
     # a fresh interpreter: this one has loaded scipy for the oracles
     code = (
         "import sys, ddscatter\n"
-        "ddscatter.scan_region(ddscatter.ScanMode('pt_symmetric'), (-0.6, -0.4), (0.0, 0.2), 2,"
-        " k_max=8.0)\n"
+        "ddscatter.scan_region(ddscatter.ScanMode('pt_symmetric'), (-0.6, -0.4), (0.0, 0.2), 2)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ddscatter.__file__).parents[1]))
