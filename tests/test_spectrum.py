@@ -289,6 +289,13 @@ class TestScanRegion:
                 assert not cell.spectral_singularities
                 assert cell.n_bound == cell.n_bound_real_energy
 
+    def test_cell_sees_singularity_above_any_window(self):
+        # k = 27 pi/4 ~ 21.2: a cell that dropped it would read quasi-Hermitian
+        cell = spectrum_mod._scan_cell((ScanMode("antisymmetric"), 0.0, SS_CURVE(27), 1.0))
+        assert cell.status == "ok"
+        assert cell.spectral_singularities == pytest.approx([27 * np.pi / 4], abs=1e-10)
+        assert not cell.quasi_hermitian
+
     def test_cell_does_not_hide_bugs(self, monkeypatch):
         def bug(c, rect=None):
             raise TypeError("not a numerical failure")
