@@ -66,7 +66,7 @@ def _float_range(text):
 
 
 def _float_grid(text):
-    """MIN:MAX:N -> (min, max, n)."""
+    """MIN:MAX:N -> (min, max, n), with n >= 1 points."""
     parts = text.split(":")
     try:
         n = int(parts[-1])
@@ -74,6 +74,8 @@ def _float_grid(text):
         n = None
     if len(parts) != 3 or n is None:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX:N, got {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"N must be at least 1, got {text!r}")
     return _finite_float(parts[0]), _finite_float(parts[1]), n
 
 
@@ -223,17 +225,15 @@ def _cmd_kernel(args):
     xs = np.linspace(lo, hi, n)
     values = regular_part_grid(kern, xs, xs)
     singular = singular_mask(kern, xs, xs)
+    coords = [f"{x:.12g}" for x in xs.tolist()]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "re", "im"])
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                if singular[i, j]:
-                    re, im = "nan", "nan"
-                else:
-                    v = values[i, j]
-                    re, im = f"{v.real:.12g}", f"{v.imag:.12g}"
-                w.writerow([f"{x:.12g}", f"{y:.12g}", re, im])
+        for x, row, on_line in zip(coords, values.tolist(), singular.tolist()):
+            w.writerows(
+                (x, y, "nan", "nan") if s else (x, y, f"{v.real:.12g}", f"{v.imag:.12g}")
+                for y, v, s in zip(coords, row, on_line)
+            )
     _write_sidecar(args.out, vars(args))
     return EXIT_OK
 

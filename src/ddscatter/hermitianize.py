@@ -249,7 +249,7 @@ _NO_TERMS = DistributionalKernel()
 
 def _panel_integral(f, psi, lo, hi, spec):
     """int_lo^hi f by numerics.integrate_panels, from the coarsest panel
-    width kernel_pair uses for psi."""
+    width kernel_pair uses for psi: 4 min(sigma, 1/|k0|) for a packet."""
     h = _panel_width(_NO_TERMS, (psi,), lo, hi, spec)
     return integrate_panels(f, lo, hi, h, spec)
 
@@ -273,9 +273,10 @@ def energy_quadrature(
 
     The kinetic integral runs over x0 +- 14 sigma, the windows over
     (-a, 3a) and (-3a, a), each by numerics.integrate_panels with the
-    coarsest panel width kernel_pair uses for a packet: twice the shorter
-    of sigma and 1/|k0|.  It samples psi and psi' in x-space only, so it
-    shares nothing with the erf/Faddeeva closed forms it checks.
+    coarsest panel width kernel_pair uses for a packet: four times the
+    shorter of sigma and 1/|k0|.  It samples psi and psi' in x-space
+    only, so it shares nothing with the erf/Faddeeva closed forms it
+    checks.
     """
     _require_class(c)
     a = c.a

@@ -295,9 +295,7 @@ def _solve_dirac_point(diracs):
 def _infer_support(bra, ket):
     box = 40.0
     for fn in (bra, ket):
-        sigma = getattr(fn, "sigma", None)
-        x0 = getattr(fn, "x0", 0.0)
-        if sigma is None:
+        if getattr(fn, "sigma", None) is None:
             return (-box, box)
     lo = min(bra.x0 - 14 * bra.sigma, ket.x0 - 14 * ket.sigma)
     hi = max(bra.x0 + 14 * bra.sigma, ket.x0 + 14 * ket.sigma)
@@ -306,8 +304,11 @@ def _infer_support(bra, ket):
 
 def _panel_width(kern, packets, lo, hi, spec):
     """Width of the coarsest panels: twice the shortest length scale among
-    the packets' sigma and 1/|k0| and four decay lengths 4/rate of the
-    kernel (12 nodes resolve exp(-u) on a panel 8 wide to 1e-16).  A plain
+    the packets' 2 sigma and 2/|k0| and the kernel's four decay lengths
+    4/rate.  On a packet's panels, 4 min(sigma, 1/|k0|) wide, 12 nodes
+    integrate a packet product to about 1e-13, so the first halving
+    usually confirms; they resolve exp(-u) on a panel 8 wide to 1e-16 but
+    leave about 1e-8 on one 16 wide, so the decay scale stays.  A plain
     callable declares no scale and counts as (hi - lo)/16.  The width is
     kept large enough for two levels to fit spec.max_subdivisions (cells
     are sized by their wider end, so a line can cross up to twice the box
@@ -319,10 +320,10 @@ def _panel_width(kern, packets, lo, hi, spec):
         if sigma is None:
             scales.append((hi - lo) / 16)
             continue
-        scales.append(sigma)
+        scales.append(2.0 * sigma)
         k0 = getattr(p, "k0", 0.0)
         if k0 != 0:
-            scales.append(1.0 / abs(k0))
+            scales.append(2.0 / abs(k0))
     return max(2.0 * min(scales), 4.0 * (hi - lo) / spec.max_subdivisions)
 
 

@@ -155,7 +155,7 @@ def integrate_1d(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
     return val
 
 
-# 12 nodes on panels two length scales wide integrate a Gaussian packet
+# 12 nodes on panels four length scales wide integrate a Gaussian packet
 # product to about 1e-13, so one halving usually meets the default spec
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 

@@ -137,6 +137,23 @@ def test_non_finite_value_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["kernel", "--which", "eta1", "--grid=-3:3:{n}"],
+     ["energy", "--im-z", "0.2", "--sweep", "sigma=1:2:{n}"]],
+    ids=["kernel", "energy"],
+)
+def test_grid_without_points_is_usage_error(argv, n, tmp_path, capsys):
+    # N < 1 is no grid: neither an empty CSV nor a traceback
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(n=n) for arg in argv] + ["--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "N must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--n", "1"], ["--a", "0"]])
 def test_bad_scan_input_is_usage_error(flags, tmp_path, capsys):
     # rejected before any cell runs, so no cell fails and no CSV is written

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddscatter import (
     Couplings,
@@ -20,6 +22,7 @@ from ddscatter import (
     h_kernel,
     kernel_eval,
     kernel_pair,
+    kernels,
     x_kernel,
 )
 from ddscatter.cli import main
@@ -29,6 +32,11 @@ from pair_oracle import oracle_pair
 C = Couplings(0.13 + 0.1j, -0.1 - 0.1j, 1.0)
 BRA = GaussianPacket(0.8, 0.3, 0.2)
 KET = GaussianPacket(0.7, -0.2, -0.3)
+
+# the packets of the random pairing checks
+packets = st.builds(
+    GaussianPacket, sigma=st.floats(0.3, 4.0), k0=st.floats(-3.0, 3.0), x0=st.floats(-4.0, 4.0)
+)
 
 
 class TestAgainstOracle:
@@ -45,6 +53,41 @@ class TestAgainstOracle:
         window = [t for t in h_kernel(C).terms if len(t.dirac_factors) == 1][0]
         kern = DistributionalKernel(terms=(window,))
         assert abs(kernel_pair(kern, BRA, KET) - oracle_pair(kern, BRA, KET)) <= 1e-9
+
+
+class TestPanelCost:
+    @pytest.mark.parametrize("build", [eta1_bounded, x_kernel], ids=["eta1_bounded", "x_kernel"])
+    def test_two_levels_suffice(self, build, monkeypatch):
+        # the coarsest panels, 4 min(sigma, 1/|k0|) wide, already meet the
+        # spec: every integral stops at its first halving
+        levels = {}
+        converge = kernels._converge
+
+        def counted(rule, base_panels, spec):
+            seen = levels.setdefault(rule.__qualname__.partition(".")[0], [])
+
+            def traced(level):
+                seen.append(level)
+                return rule(level)
+
+            return converge(traced, base_panels, spec)
+
+        monkeypatch.setattr(kernels, "_converge", counted)
+        kernel_pair(build(C), BRA, KET)
+        assert levels == {"_pair_line": [0, 1], "_pair_plane": [0, 1]}
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.sampled_from([eta1_bounded, x_kernel]), packets, packets)
+    def test_agrees_with_a_tighter_spec(self, build, bra, ket):
+        # two levels agreeing at the wide start must not hide an error: a
+        # 1e-13 spec adds levels and moves the value by less than 1e-10;
+        # the fixed box bounds the cost of sigma = 4 with |k0| = 3
+        kern, box = build(C), (-8.0, 8.0)
+        value = kernel_pair(kern, bra, ket, support=box)
+        tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+        assert abs(value - kernel_pair(kern, bra, ket, tight, support=box)) <= 1e-10 * max(
+            1.0, abs(value)
+        )
 
 
 class TestPanelBudget:
