@@ -1,6 +1,7 @@
 """Panel Gauss-Legendre pairing: agreement with the adaptive-quadrature
-oracle, error reporting past the panel budget, and the kernel dump's
-agreement with pointwise evaluation."""
+oracle and with a tighter spec, the number of panel levels it takes,
+error reporting past the panel budget, and the kernel dump's agreement
+with pointwise evaluation."""
 
 import json
 
@@ -33,7 +34,6 @@ C = Couplings(0.13 + 0.1j, -0.1 - 0.1j, 1.0)
 BRA = GaussianPacket(0.8, 0.3, 0.2)
 KET = GaussianPacket(0.7, -0.2, -0.3)
 
-# the packets of the random pairing checks
 packets = st.builds(
     GaussianPacket, sigma=st.floats(0.3, 4.0), k0=st.floats(-3.0, 3.0), x0=st.floats(-4.0, 4.0)
 )
