@@ -71,7 +71,6 @@ from .numerics import (
     ComplexRect,
     QuadratureSpec,
     count_zeros,
-    erf_complex,
     integrate_1d,
     integrate_panels,
     matrix_inv_sqrt,

@@ -30,10 +30,19 @@ _TEST_PACKETS = (
     GaussianPacket(1.0, 1.0, -0.5),
     GaussianPacket(2.5, -0.7, 1.0),
 )
+# the grid is [-_HALF_WIDTH, _HALF_WIDTH]; the residual checks use
+# _GRID_POINTS points of it, the X/P commutator check _XP_GRID_POINTS
+_HALF_WIDTH = 8.0
+_GRID_POINTS = 400
+_XP_GRID_POINTS = 600
+# Gaussian widths of the regularized deltas in H and in P
+_H_DELTA_WIDTH = 0.05
+_P_DELTA_WIDTH = 0.1
 
 
-def uniform_grid(n: int = 400, half_width: float = 8.0):
-    x = np.linspace(-half_width, half_width, n)
+def uniform_grid(n: int = _GRID_POINTS):
+    """n equally spaced points on [-8, 8] and their spacing."""
+    x = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, n)
     return x, x[1] - x[0]
 
 
@@ -42,15 +51,16 @@ def gaussian_delta(t, width: float):
     return np.exp(-(t * t) / (2 * width * width)) / (width * np.sqrt(2 * np.pi))
 
 
-def discretized_hamiltonian(c: Couplings, x, delta_width: float = 0.05):
-    """-d^2/dx^2 (three-point stencil) + regularized complex deltas."""
+def discretized_hamiltonian(c: Couplings, x):
+    """-d^2/dx^2 (three-point stencil) + complex deltas regularized as
+    Gaussians of width 0.05."""
     n = len(x)
     h = x[1] - x[0]
     K = (
         np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -1.0), -1)
     ) / h**2
-    v = c.z_plus * gaussian_delta(x - c.a, delta_width) + c.z_minus * gaussian_delta(
-        x + c.a, delta_width
+    v = c.z_plus * gaussian_delta(x - c.a, _H_DELTA_WIDTH) + c.z_minus * gaussian_delta(
+        x + c.a, _H_DELTA_WIDTH
     )
     return K.astype(complex) + np.diag(v)
 
@@ -64,40 +74,40 @@ def sampled_metric(c: Couplings, x):
     return np.eye(len(x)) + E1
 
 
-def pseudo_hermiticity_residual(c: Couplings, n=400, half_width=8.0, delta_width=0.05):
-    """Frobenius measure ||eta H - H^dag eta||_F / ||H||_F on the grid.
+def pseudo_hermiticity_residual(c: Couplings):
+    """Frobenius measure ||eta H - H^dag eta||_F / ||H||_F on the 400-point
+    grid.
 
     Note: pointwise sampling of a kernel with sign/step discontinuities
     leaves lattice-artifact patterns whose Frobenius norm is linear in
     the coupling; see the weak variant for the O(z^2) statement.
     """
-    _, H, R = _residual_operator(c, n, half_width, delta_width)
+    _, H, R = _residual_operator(c)
     return np.linalg.norm(R) / np.linalg.norm(H)
 
 
-def weak_pseudo_hermiticity_residual(
-    c: Couplings, n=400, half_width=8.0, delta_width=0.05, packets=_TEST_PACKETS
-):
+def weak_pseudo_hermiticity_residual(c: Couplings):
     """max |<u|(eta H - H^dag eta)|v>| over a fixed family of smooth
     normalized packets: the weak-form realization of the first-order
     pseudo-Hermiticity relation, O(z^2) up to discretization."""
-    x, _, R = _residual_operator(c, n, half_width, delta_width)
-    return _weak_norm(R, x, packets)
+    x, _, R = _residual_operator(c)
+    return _weak_norm(R, x)
 
 
-def _residual_operator(c, n, half_width, delta_width):
+def _residual_operator(c):
     """Grid x, the discretized H and R = eta H - H^dag eta with the
     sampled eta."""
-    x, _ = uniform_grid(n, half_width)
-    H = discretized_hamiltonian(c, x, delta_width)
+    x, _ = uniform_grid()
+    H = discretized_hamiltonian(c, x)
     eta = sampled_metric(c, x)
     return x, H, eta @ H - H.conj().T @ eta
 
 
-def _weak_norm(R, x, packets=_TEST_PACKETS):
+def _weak_norm(R, x):
+    """max |<u|R|v>| over the normalized test packets u, v on the grid x."""
     worst = 0.0
     vecs = []
-    for p in packets:
+    for p in _TEST_PACKETS:
         v = p(x)
         vecs.append(v / np.linalg.norm(v))
     for u in vecs:
@@ -106,14 +116,14 @@ def _weak_norm(R, x, packets=_TEST_PACKETS):
     return worst
 
 
-def rho_hermitization_weak_residual(c: Couplings, n=400, half_width=8.0, delta_width=0.05):
+def rho_hermitization_weak_residual(c: Couplings):
     """Weak anti-Hermitian residual of rho H rho^{-1} with rho the
     principal square root of the sampled metric: O(z^2) realization of
     the similarity transform to the equivalent Hermitian operator."""
     import scipy.linalg
 
-    x, _ = uniform_grid(n, half_width)
-    H = discretized_hamiltonian(c, x, delta_width)
+    x, _ = uniform_grid()
+    H = discretized_hamiltonian(c, x)
     eta = sampled_metric(c, x)
     rho = scipy.linalg.sqrtm(eta)
     h = rho @ H @ np.linalg.inv(rho)
@@ -129,10 +139,10 @@ def discretized_position(c: Couplings, x):
     return np.diag(x.astype(complex)) + X1
 
 
-def discretized_momentum(c: Couplings, x, delta_width=0.1):
+def discretized_momentum(c: Couplings, x):
     """Pseudo-Hermitian momentum operator on the grid: central-difference
     -i d/dx plus the first-order antidiagonal Dirac terms regularized as
-    narrow Gaussians (needed only for the weak commutator check)."""
+    Gaussians of width 0.1 (needed only for the weak commutator check)."""
     n = len(x)
     h = x[1] - x[0]
     D1 = (np.diag(np.full(n - 1, 1.0), 1) - np.diag(np.full(n - 1, 1.0), -1)) / (2 * h)
@@ -141,19 +151,20 @@ def discretized_momentum(c: Couplings, x, delta_width=0.1):
     X, Y = np.meshgrid(x, x, indexing="ij")
     s = np.sign(X - Y)
     P1 = (lam / 2) * s * (
-        gaussian_delta(X + Y + 2 * c.a, delta_width) - gaussian_delta(X + Y - 2 * c.a, delta_width)
+        gaussian_delta(X + Y + 2 * c.a, _P_DELTA_WIDTH)
+        - gaussian_delta(X + Y - 2 * c.a, _P_DELTA_WIDTH)
     )
     return P + P1 * h
 
 
-def xp_commutator_weak_residual(c: Couplings, n=600, half_width=8.0):
-    """Weak measure of [X, P] - [x, p] on the grid.
+def xp_commutator_weak_residual(c: Couplings):
+    """Weak measure of [X, P] - [x, p] on the 600-point grid.
 
     The zeroth-order discrete [x, p] is subtracted (its lattice form is a
     tridiagonal smoothing of i*identity), so what remains is the
     first-order cancellation [x, P1] + [X1, p], which is O(z^2) weakly.
     """
-    x, _ = uniform_grid(n, half_width)
+    x, _ = uniform_grid(_XP_GRID_POINTS)
     Xop = discretized_position(c, x)
     Pop = discretized_momentum(c, x)
     x0 = np.diag(x.astype(complex))

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UnsupportedCouplingError
-from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm, _panel_width
+from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm, _packet_box, _panel_width
 from .model import Couplings, theta
 from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_panels
 
@@ -205,28 +205,22 @@ class ApplyHResult:
         return self._minus()
 
 
-def apply_h(
-    c: Couplings,
-    psi,
-    x: float,
-    psi_dd=None,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> ApplyHResult:
+def apply_h(c: Couplings, psi, x: float) -> ApplyHResult:
     """(h psi)(x) with the distributional pieces reported separately.
 
     psi must be array-callable (a float ndarray in, an ndarray of the same
-    shape out) and twice differentiable at x; supply psi_dd or use a
-    packet exposing ``second_derivative``.  The two window integrals are
+    shape out), twice differentiable at x, and expose its second
+    derivative as ``second_derivative`` (GaussianPacket does); anything
+    else raises DomainError.  The two window integrals are
     energy_quadrature's, taken when a delta coefficient is first read.
     Outside |x| <= 3a the regular part is exactly -psi''(x).
     """
     _require_class(c)
     a = c.a
     lam2 = c.z_plus.imag ** 2
+    psi_dd = getattr(psi, "second_derivative", None)
     if psi_dd is None:
-        psi_dd = getattr(psi, "second_derivative", None)
-    if psi_dd is None:
-        raise DomainError("supply psi_dd (second derivative) for plain callables")
+        raise DomainError("psi must expose its second derivative as second_derivative")
 
     regular = -psi_dd(x) + (lam2 / 8) * (
         (theta(x + a) - theta(x - 3 * a)) * psi(-a)
@@ -235,10 +229,12 @@ def apply_h(
     return ApplyHResult(
         complex(regular),
         lambda: complex(
-            c.z_plus.real * psi(a) + (lam2 / 8) * _panel_integral(psi, psi, -3 * a, a, spec)
+            c.z_plus.real * psi(a)
+            + (lam2 / 8) * _panel_integral(psi, psi, -3 * a, a, DEFAULT_SPEC)
         ),
         lambda: complex(
-            c.z_minus.real * psi(-a) + (lam2 / 8) * _panel_integral(psi, psi, -a, 3 * a, spec)
+            c.z_minus.real * psi(-a)
+            + (lam2 / 8) * _panel_integral(psi, psi, -a, 3 * a, DEFAULT_SPEC)
         ),
     )
 
@@ -251,7 +247,7 @@ def _panel_integral(f, psi, lo, hi, spec):
     """int_lo^hi f by numerics.integrate_panels, from the coarsest panel
     width kernel_pair uses for psi: 4 min(sigma, 1/|k0|) for a packet."""
     h = _panel_width(_NO_TERMS, (psi,), lo, hi, spec)
-    return integrate_panels(f, lo, hi, h, spec)
+    return integrate_panels(f, (lo, hi), h, spec)
 
 
 def _windows(psi, a, spec):
@@ -281,11 +277,7 @@ def energy_quadrature(
     _require_class(c)
     a = c.a
     kinetic = _panel_integral(
-        lambda x: np.abs(packet.derivative(x)) ** 2,
-        packet,
-        packet.x0 - 14 * packet.sigma,
-        packet.x0 + 14 * packet.sigma,
-        spec,
+        lambda x: np.abs(packet.derivative(x)) ** 2, packet, *_packet_box(packet), spec
     ).real
     local = (
         c.z_plus.real * abs(packet(a)) ** 2 + c.z_minus.real * abs(packet(-a)) ** 2

@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .numerics import DEFAULT_SPEC, QuadratureSpec, _converge, _panel_count, _unit_panels
+from .numerics import (
+    DEFAULT_SPEC,
+    QuadratureSpec,
+    _converge,
+    _panel_count,
+    _unit_panels,
+    integrate_panels,
+)
 
 __all__ = [
     "KernelPrimitive",
@@ -83,14 +90,6 @@ class KernelPrimitive:
             raise DomainError("primitive shift and rate must be finite")
         if self.kind == "exp_abs" and self.rate <= 0:
             raise DomainError("exp_abs needs a positive rate")
-
-    def u(self, x, y):
-        cx, cy = _ARG_COEFFS[self.argument]
-        return cx * x + cy * y + self.shift
-
-    def value(self, x, y):
-        """Pointwise value; Dirac factors are not pointwise evaluable."""
-        return _primitive_values(self.kind, self.u(x, y), self.rate)
 
 
 @dataclass(frozen=True)
@@ -292,14 +291,19 @@ def _solve_dirac_point(diracs):
     return sol[0], sol[1], 1.0 / abs(det)
 
 
+def _packet_box(packet):
+    """(x0 - 14 sigma, x0 + 14 sigma): the interval a packet's integrals
+    run over."""
+    return packet.x0 - 14 * packet.sigma, packet.x0 + 14 * packet.sigma
+
+
 def _infer_support(bra, ket):
     box = 40.0
     for fn in (bra, ket):
         if getattr(fn, "sigma", None) is None:
             return (-box, box)
-    lo = min(bra.x0 - 14 * bra.sigma, ket.x0 - 14 * ket.sigma)
-    hi = max(bra.x0 + 14 * bra.sigma, ket.x0 + 14 * ket.sigma)
-    return (min(lo, -2.0), max(hi, 2.0))
+    (bra_lo, bra_hi), (ket_lo, ket_hi) = _packet_box(bra), _packet_box(ket)
+    return (min(bra_lo, ket_lo, -2.0), max(bra_hi, ket_hi, 2.0))
 
 
 def _panel_width(kern, packets, lo, hi, spec):
@@ -417,19 +421,11 @@ def _pair_line(argument, shift, arrays, products, lo, hi, h, spec):
             cuts.add(-(lx * px + ly * py + ls) / slope)
     cuts = sorted(c for c in cuts if t0 <= c <= t1)
 
-    def rule(level):
-        total = 0.0 + 0.0j
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            t, w = _unit_panels(_panel_count(b - a, h) << level)
-            for s in range(0, len(t), _BLOCK):
-                x = px + dx * (a + (b - a) * t[s:s + _BLOCK])
-                y = py + dy * (a + (b - a) * t[s:s + _BLOCK])
-                f = arrays(x, y) * _weight(products, x, y)
-                total += (b - a) * np.dot(w[s:s + _BLOCK], f)
-        return total
+    def integrand(t):
+        x, y = px + dx * t, py + dy * t
+        return arrays(x, y) * _weight(products, x, y)
 
-    base = sum(_panel_count(b - a, h) for a, b in zip(cuts[:-1], cuts[1:]))
-    return jac * _converge(rule, base, spec)
+    return jac * integrate_panels(integrand, cuts, h, spec)
 
 
 def _plane_cells(lines, lo, hi, h):

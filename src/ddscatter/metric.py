@@ -103,6 +103,9 @@ class AppendixAParams:
     a: float = 1.0
 
     def __post_init__(self):
+        fields = [self.r_plus, self.r_minus, self.eps_plus, self.eps_minus, self.gamma, self.a]
+        if not np.all(np.isfinite(fields)):
+            raise DomainError("appendix-A parameters must be finite")
         if self.r_plus <= 0 or self.r_minus <= 0:
             raise DomainError("r_pm must be positive")
         if self.gamma <= 0 or self.a <= 0:
@@ -308,21 +311,25 @@ def inm_quadrature(n: int, m: int, alpha: float):
     return 1j * val / np.pi
 
 
-def u_inverse_sqrt_route(c: Couplings, k: float, verify_tol: float = 1e-10):
+# largest ||U(z*)^dag K(z) U(z) - I|| u_inverse_sqrt_route accepts
+_U_ROUTE_TOL = 1e-10
+
+
+def u_inverse_sqrt_route(c: Couplings, k: float):
     """U = K^{-1/2}: the simplest closed solution of the biorthonormal
     normalization condition at wave number k.
 
-    Verifies U(z*)^dag K(z) U(z) = I before returning; a branch failure
-    here is the documented reason the exact route is abandoned in favour
-    of perturbation theory.
+    Verifies U(z*)^dag K(z) U(z) = I to 1e-10 before returning
+    (DomainError otherwise); a branch failure here is the documented
+    reason the exact route is abandoned in favour of perturbation theory.
     """
     K = k_matrix(c, k)
     U = matrix_inv_sqrt(K)
     c_conj = Couplings(np.conj(c.z_plus), np.conj(c.z_minus), c.a)
     U_conj = matrix_inv_sqrt(k_matrix(c_conj, k))
     resid = np.linalg.norm(U_conj.conj().T @ K @ U - np.eye(2))
-    if resid > verify_tol:
-        raise DomainError(f"normalization residual {resid:.2e} exceeds {verify_tol:.1e}")
+    if resid > _U_ROUTE_TOL:
+        raise DomainError(f"normalization residual {resid:.2e} exceeds {_U_ROUTE_TOL:.1e}")
     return U
 
 
@@ -344,9 +351,7 @@ def _first_order_weight(x, k, a):
 _REGULATOR = 0.01
 
 
-def spectral_metric_estimate(
-    c: Couplings, x: float, y: float, spec: QuadratureSpec = _SPECTRAL_SPEC
-):
+def spectral_metric_estimate(c: Couplings, x: float, y: float):
     """Regulated spectral estimate of the metric kernel's regular part.
 
     Integrates the first-order biorthonormal family, linearized in z,
@@ -377,35 +382,31 @@ def spectral_metric_estimate(
         ) / (2 * np.pi)
 
     def regulated(eps):
-        return integrate_1d(
-            lambda k: (f(k) + f(-k)) * np.exp(-eps * k * k), 1e-9, 9.0 / np.sqrt(eps), spec
-        )
+        integrand = lambda k: (f(k) + f(-k)) * np.exp(-eps * k * k)
+        return integrate_1d(integrand, 1e-9, 9.0 / np.sqrt(eps), _SPECTRAL_SPEC)
 
     i4, i2, i1 = (regulated(m * _REGULATOR) for m in (4, 2, 1))
     return (8.0 * i1 - 6.0 * i2 + i4) / 3.0
 
 
-def metric_de_residual(
-    kern: DistributionalKernel,
-    c: Couplings,
-    test_bra,
-    test_ket,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    support=(-12.0, 12.0),
-):
+_DE_SUPPORT = (-12.0, 12.0)
+
+
+def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_ket):
     """Weak-form residual of the metric differential equation
 
         (-d^2/dx^2 + d^2/dy^2 + v*(x) - v(y)) eta(x, y) = 0
 
     against a smooth bra/ket pair, with derivatives moved onto the test
-    functions.  For eta1_bounded the residual is O(z^2): first order
-    cancels identically between the kinetic commutator and the potential
-    difference on the diagonal.
+    functions, paired on [-12, 12]^2 to the default QuadratureSpec.  For
+    eta1_bounded the residual is O(z^2): first order cancels identically
+    between the kinetic commutator and the potential difference on the
+    diagonal.
 
     test_bra and test_ket must expose second derivatives via attribute
     ``second_derivative`` (GaussianPacket does).
     """
-    lo, hi = support
+    lo, hi = _DE_SUPPORT
     a = c.a
     zp, zm = c.z_plus, c.z_minus
 
@@ -421,7 +422,7 @@ def metric_de_residual(
     reg_terms = tuple(t for t in kern.terms if not t.dirac_factors)
     if not reg_terms:
         return total
-    h = _panel_width(kern, (test_bra, test_ket), lo, hi, spec)
+    h = _panel_width(kern, (test_bra, test_ket), lo, hi, DEFAULT_SPEC)
 
     # kinetic action moved to the test functions: pairings against the
     # second derivatives
@@ -429,7 +430,7 @@ def metric_de_residual(
         (test_bra, test_ket.second_derivative),
         (test_bra.second_derivative, lambda y: -test_ket(y)),
     )
-    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h, spec)
+    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h, DEFAULT_SPEC)
 
     # potential terms applied to the regular part: the line terms
     # conj(z) delta(x - pos) K(x, y) - z K(x, y) delta(y - pos)
@@ -442,7 +443,6 @@ def metric_de_residual(
             potential.append(
                 KernelTerm(-z * t.coefficient, (_prim("dirac", "y", -pos),) + t.factors)
             )
-    total += _pair(
-        DistributionalKernel(terms=tuple(potential)), ((test_bra, test_ket),), lo, hi, h, spec
-    )
+    potential_kern = DistributionalKernel(terms=tuple(potential))
+    total += _pair(potential_kern, ((test_bra, test_ket),), lo, hi, h, DEFAULT_SPEC)
     return total

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
     "PhysicalContext",
@@ -52,8 +51,11 @@ class PhysicalContext:
     zeta_minus: complex
 
     def __post_init__(self):
-        if self.mass <= 0 or self.length_scale <= 0 or self.alpha <= 0:
-            raise DomainError("mass, length_scale and alpha must be positive")
+        fields = [self.mass, self.hbar, self.length_scale, self.alpha]
+        if not np.all(np.isfinite(fields + [self.zeta_plus, self.zeta_minus])):
+            raise DomainError("physical parameters and couplings must be finite")
+        if min(fields) <= 0:
+            raise DomainError("mass, hbar, length_scale and alpha must be positive")
 
     def energy_scale(self) -> float:
         """Multiply dimensionless energies by this to recover physical ones."""
@@ -207,13 +209,7 @@ def k_matrix(c: Couplings, k: float):
     return np.array([[diag, k12(k)], [k12(-k), diag]], dtype=complex)
 
 
-def smeared_overlap_check(
-    c: Couplings,
-    k0: float,
-    q0: float,
-    width: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-):
+def smeared_overlap_check(c: Couplings, k0: float, q0: float, width: float):
     """Direct check of the distributional overlap relation.
 
     Smears both eigenfamilies with Gaussians (std ``width``) centred at k0

@@ -1,12 +1,11 @@
 """Self-contained numerical kernel.
 
-Complex error function, adaptive quadrature (finite and infinite 1D
-integrals), composite Gauss-Legendre panels for smooth array
-integrands, principal inverse square root of 2x2 matrices, complex
-Newton refinement, and argument-principle zero counting on
-rectangular contours.  Everything here is pure and reentrant.  scipy is
-imported only by the routines that call it (erf_complex, integrate_1d),
-so importing the package does not load it.
+Adaptive quadrature (finite and infinite 1D integrals), composite
+Gauss-Legendre panels for integrands smooth between given breakpoints,
+principal inverse square root of 2x2 matrices, complex Newton
+refinement, and argument-principle zero counting on rectangular
+contours.  Everything here is pure and reentrant.  scipy is imported
+only by integrate_1d, so importing the package does not load it.
 
 The root-location routines (``refine_root``, ``count_zeros``) take an
 array-callable ``f``: it maps a complex ndarray to a complex ndarray of
@@ -30,13 +29,16 @@ from .errors import (
 __all__ = [
     "ComplexRect",
     "QuadratureSpec",
-    "erf_complex",
     "integrate_1d",
     "integrate_panels",
     "matrix_inv_sqrt",
     "count_zeros",
     "refine_root",
 ]
+
+
+# a point this close outside a rectangle still counts as in it
+_CONTAINS_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,11 @@ class ComplexRect:
             ComplexRect(self.re_min, self.re_max, mid, self.im_max),
         )
 
-    def contains(self, k: complex, margin: float = 0.0) -> bool:
+    def contains(self, k: complex) -> bool:
+        """k lies in the rectangle or within 1e-7 of its edges."""
         return (
-            self.re_min + margin <= k.real <= self.re_max - margin
-            and self.im_min + margin <= k.imag <= self.im_max - margin
+            self.re_min - _CONTAINS_SLACK <= k.real <= self.re_max + _CONTAINS_SLACK
+            and self.im_min - _CONTAINS_SLACK <= k.imag <= self.im_max + _CONTAINS_SLACK
         )
 
 
@@ -101,25 +104,6 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-_ERF_GUARD = 1e6
-
-
-def erf_complex(w):
-    """Analytic continuation of erf; relative error <= 1e-12 for |w| <= 10.
-
-    Uses the Faddeeva-function route (scipy's erf handles complex input via
-    the Faddeeva package).  Accepts scalars or arrays.
-    """
-    import scipy.special
-
-    w = np.asarray(w, dtype=complex)
-    if np.any(np.abs(w) >= _ERF_GUARD):
-        raise DomainError("erf argument beyond overflow guard |w| < 1e6")
-    out = scipy.special.erf(w)
-    if w.ndim == 0:
-        return complex(out)
-    return out
 
 
 def integrate_1d(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
@@ -198,25 +182,29 @@ def _converge(rule, base_panels, spec):
     return value
 
 
-def integrate_panels(f, lo, hi, h, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Composite 12-point Gauss-Legendre integral of f over [lo, hi].
+def integrate_panels(f, cuts, h, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Composite 12-point Gauss-Legendre integral of f from cuts[0] to
+    cuts[-1].
 
-    ``f`` is array-callable (a float ndarray of nodes in, an ndarray of
-    the same shape out) and smooth on [lo, hi].  The coarsest panels are
-    at most ``h`` wide; they are halved until two widths agree to
-    ``spec``.  Past spec.max_subdivisions panels the last difference is
-    the error bound: beyond 50 times the tolerance QuadratureError
-    carries the estimate and that bound (infinite if only one level
-    fit).  Returns a complex.
+    ``cuts`` are increasing breakpoints; ``f`` is array-callable (a float
+    ndarray of nodes in, an ndarray of the same shape out) and smooth
+    between neighbouring cuts.  Each segment is split into panels at
+    most ``h`` wide, and all of them are halved together until two
+    widths agree to ``spec``.  Past spec.max_subdivisions panels in all
+    the last difference is the error bound: beyond 50 times the
+    tolerance QuadratureError carries the estimate and that bound
+    (infinite if only one level fit).  Returns a complex.
     """
-    length = hi - lo
-    count = _panel_count(length, h)
+    segments = [(a, b - a, _panel_count(b - a, h)) for a, b in zip(cuts[:-1], cuts[1:])]
 
     def rule(level):
-        t, w = _unit_panels(count << level)
-        return complex(length * np.dot(w, f(lo + length * t)))
+        total = 0.0 + 0.0j
+        for a, length, count in segments:
+            t, w = _unit_panels(count << level)
+            total += length * np.dot(w, f(a + length * t))
+        return complex(total)
 
-    return _converge(rule, count, spec)
+    return _converge(rule, sum(count for _, _, count in segments), spec)
 
 
 _BRANCH_TOL = 1e-13
@@ -245,18 +233,23 @@ def matrix_inv_sqrt(K):
     return M
 
 
-def refine_root(f, seed, max_iter=100, tol_factor=1e-10):
+_NEWTON_MAX_ITER = 100
+_NEWTON_RESIDUAL = 1e-10
+
+
+def refine_root(f, seed):
     """Newton refinement of a simple zero from a nearby seed.
 
     ``f`` is array-callable: it takes a complex ndarray and returns one of
     the same shape.  Each Newton step evaluates the central-difference
-    stencil [k, k + h, k - h] in one call (f analytic).  Returns the root;
-    raises NoConvergenceError after ``max_iter`` steps, or at once when
-    f(k) or the difference quotient is not finite.
+    stencil [k, k + h, k - h] in one call (f analytic).  Returns the root
+    once |f| <= 1e-10 max(1, |f'| |k|); raises NoConvergenceError after
+    100 steps, when that residual is missed, or at once when f(k) or the
+    difference quotient is not finite.
     """
     k = complex(seed)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             fk, df = _newton_stencil(f, k)
             if df == 0:
                 raise NoConvergenceError("vanishing derivative during Newton refinement")
@@ -265,9 +258,9 @@ def refine_root(f, seed, max_iter=100, tol_factor=1e-10):
             if abs(step) <= 1e-14 * max(1.0, abs(k)):
                 break
         else:
-            raise NoConvergenceError(f"no convergence after {max_iter} Newton iterations")
+            raise NoConvergenceError(f"no convergence after {_NEWTON_MAX_ITER} Newton iterations")
         fk, df = _newton_stencil(f, k)
-    if abs(fk) > tol_factor * max(1.0, abs(df) * abs(k)):
+    if abs(fk) > _NEWTON_RESIDUAL * max(1.0, abs(df) * abs(k)):
         raise NoConvergenceError(f"Newton stalled at |f| = {abs(fk):.3e}")
     return k
 
@@ -284,27 +277,39 @@ def _newton_stencil(f, k):
 
 _WINDING_RESIDUAL = 0.25
 _EDGE_SAMPLES = 64
+# bounds the initial samples (4 x 2**16 points, a few MB of temporaries)
+_MAX_EDGE_SAMPLES = 1 << 16
 
 
-def count_zeros(f, rect: ComplexRect, spec: QuadratureSpec = DEFAULT_SPEC):
+def count_zeros(f, rect: ComplexRect, max_step: float = None):
     """Number of zeros of an analytic f inside a rectangle.
 
     ``f`` is array-callable: it takes a complex ndarray and returns one of
     the same shape.  Evaluates the argument-principle integral
     (1/2 pi i) closed-int f'/f dk as the total winding of f along the
-    boundary (Delves & Lyness, Math. Comp. 21 (1967) 543): all 4 x 64
-    initial samples in one call, then level by level every segment whose
-    phase step exceeds pi/2 is bisected, with one call per level for all
-    of their midpoints, to a depth of 24.  The pre-rounding residual must
+    boundary (Delves & Lyness, Math. Comp. 21 (1967) 543).  Each edge
+    starts with m = max(64, ceil(longest side / max_step)) samples
+    (m = 64 without max_step), all 4 m in one call; then level by level
+    every segment whose phase step exceeds pi/2 is bisected, with one
+    call per level for all of their midpoints, to a depth of 24.  A
+    caller whose f turns by up to pi/2 per max_step passes it, so no
+    full turn hides between two samples.  The pre-rounding residual must
     stay below 0.25 or ContourError is raised (a zero too close to the
     contour shows up as unresolvable phase steps or a non-integer
-    winding).
+    winding).  It is also raised, before f is called, when m would
+    exceed 2**16.
     """
     corners = np.array(rect.corners)
     ends = np.roll(corners, -1)
     # the initial sampling guards against phase aliasing on long edges,
     # bisection resolves the rest
-    ts = np.arange(_EDGE_SAMPLES) / _EDGE_SAMPLES
+    m = _EDGE_SAMPLES
+    if max_step is not None:
+        longest = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
+        m = max(m, int(np.ceil(longest / max_step)))
+        if m > _MAX_EDGE_SAMPLES:
+            raise ContourError(f"rectangle too wide: {m} samples per edge exceed 2**16")
+    ts = np.arange(m) / m
     za = (corners[:, None] + (ends - corners)[:, None] * ts).ravel()
     zb = np.roll(za, -1)
     fa = _on_contour(f, za)

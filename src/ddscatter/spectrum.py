@@ -173,7 +173,7 @@ def count_bound_states(c: Couplings, rect: ComplexRect = None):
         rect = default_bound_rect(c)
     if rect.im_min <= 0:
         raise DomainError("bound-state rectangle must lie in the open upper half plane")
-    total = count_zeros(_regular_m22(c), rect)
+    total = count_zeros(_regular_m22(c), rect, _max_step(c))
     if total == 0:
         return 0, 0
     roots = bound_state_roots(c, rect, expected=total)
@@ -187,11 +187,10 @@ def bound_state_roots(c: Couplings, rect: ComplexRect, expected: int = None):
     """Distinct zeros of M_22 inside rect, located by recursive rectangle
     bisection (argument principle) plus Newton refinement, both applied
     to k M_22(k)."""
-    f = _regular_m22(c)
     if expected is None:
-        expected = count_zeros(f, rect)
+        expected = count_zeros(_regular_m22(c), rect, _max_step(c))
     roots = []
-    _isolate(f, rect, expected, roots, depth=40)
+    _isolate(c, rect, expected, roots, depth=40)
     return roots
 
 
@@ -200,14 +199,21 @@ def _regular_m22(c):
     return lambda k: k * m22(c, k)
 
 
+def _max_step(c):
+    """count_zeros' sample spacing for k M_22: e^{4iak} turns by pi/2
+    over pi/(8a) along an edge."""
+    return np.pi / (8 * c.a)
+
+
 def _add_root(out, root):
     if all(abs(root - r) > 1e-8 * max(1.0, abs(root)) for r in out):
         out.append(root)
 
 
-def _isolate(f, rect, n, out, depth):
+def _isolate(c, rect, n, out, depth):
     if n == 0:
         return
+    f = _regular_m22(c)
     center = complex(0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max))
     if n == 1:
         try:
@@ -216,7 +222,7 @@ def _isolate(f, rect, n, out, depth):
             root = None
         # accept a refined root in (or hugging) the box; otherwise Newton
         # jumped out and the box must be narrowed first
-        if root is not None and rect.contains(root, margin=-1e-7):
+        if root is not None and rect.contains(root):
             _add_root(out, root)
             return
     if depth <= 0:
@@ -225,12 +231,12 @@ def _isolate(f, rect, n, out, depth):
         # split off-centre, by an amount that changes from try to try
         parts = rect.split(0.5 + 0.017 * ((depth * 5 + attempt) % 7 - 3))
         try:
-            counts = [count_zeros(f, p) for p in parts]
+            counts = [count_zeros(f, p, _max_step(c)) for p in parts]
         except ContourError:
             continue  # a zero sits on the split line: re-jitter
         if sum(counts) == n:
             for part, cnt in zip(parts, counts):
-                _isolate(f, part, cnt, out, depth - 1)
+                _isolate(c, part, cnt, out, depth - 1)
             return
 
 

@@ -39,35 +39,6 @@ FAST, FULL = "fast", "full"
 # ---------------------------------------------------------------- numerics
 
 
-def check_erf_symmetries():
-    rng = np.random.default_rng(11)
-    w = rng.uniform(-5, 5, 1000) + 1j * rng.uniform(-5, 5, 1000)
-    e = num.erf_complex(w)
-    scale = np.maximum(1.0, np.abs(e))  # |erf| reaches ~1e10 in this box
-    odd = np.max(np.abs(num.erf_complex(-w) + e) / scale)
-    conj = np.max(np.abs(num.erf_complex(np.conj(w)) - np.conj(e)) / scale)
-    ok = odd <= 1e-12 and conj <= 1e-12
-    return ok, f"odd {odd:.2e}, conj {conj:.2e} (relative)"
-
-
-def erf_segment_oracle(w):
-    """Independent oracle for erf: the defining integral along the straight
-    segment 0 -> w, by adaptive quadrature."""
-    val = num.integrate_1d(lambda t: np.exp(-((w * t) ** 2)), 0.0, 1.0)
-    return 2.0 / np.sqrt(np.pi) * w * val
-
-
-def check_erf_quadrature():
-    rng = np.random.default_rng(1)
-    points = [1.0, 1j, 0.7 + 1.3j, -2.1 + 0.4j, 3.0 - 2.0j]
-    points += [complex(re, im) for re, im in rng.uniform(-4, 4, (20, 2))]
-    worst = 0.0
-    for w in points:
-        ref = erf_segment_oracle(w)
-        worst = max(worst, abs(num.erf_complex(w) - ref) / max(1.0, abs(ref)))
-    return worst <= 1e-12, f"worst rel {worst:.2e} over {len(points)} points"
-
-
 def check_inv_sqrt():
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -651,8 +622,6 @@ def check_fig1_symmetry():
 
 
 CHECKS = {
-    "numerics.erf_symmetries": (FAST, check_erf_symmetries),
-    "numerics.erf_quadrature_oracle": (FAST, check_erf_quadrature),
     "numerics.matrix_inv_sqrt": (FAST, check_inv_sqrt),
     "numerics.count_zeros_additivity": (FAST, check_count_zeros_additivity),
     "numerics.i22_quadrature": (FAST, check_i22_quadrature),

@@ -75,6 +75,12 @@ class TestApplyH:
         assert abs(out.regular + g.second_derivative(0.7)) < 1e-14
         assert out.delta_plus == 0 and out.delta_minus == 0
 
+    def test_plain_callable_rejected(self):
+        # apply_h needs psi'' and reads it from psi.second_derivative only
+        g = GaussianPacket(1.2, 0.4, 0.1)
+        with pytest.raises(DomainError, match="second_derivative"):
+            apply_h(C_GENERAL, lambda x: g(x), 0.7)
+
     def test_windows_closed_far_out(self):
         g = GaussianPacket(1.2, 0.0, 0.0)
         for x in (3.5, -4.0, 8.0):
@@ -99,7 +105,7 @@ class TestApplyH:
         real = hermitianize.integrate_panels
 
         def counted(*args, **kwargs):
-            calls.append(args[1:3])
+            calls.append(args[1])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hermitianize, "integrate_panels", counted)

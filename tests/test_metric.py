@@ -49,6 +49,17 @@ class TestAppendixA:
         assert abs(p.rho_a - 2.0 / 0.5) < 1e-15
         assert p.eps1 == -0.1 and abs(p.eps2 + 0.02) < 1e-15
 
+    @pytest.mark.parametrize(
+        "field", ["r_plus", "r_minus", "eps_plus", "eps_minus", "gamma", "a"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        # a NaN eps used to build a kernel whose every value is nan+nanj
+        kwargs = dict(r_plus=1.0, r_minus=0.8, eps_plus=0.1, eps_minus=0.07, gamma=1.1, a=1.0)
+        kwargs[field] = value
+        with pytest.raises(DomainError):
+            AppendixAParams(**kwargs)
+
     def test_partial_sum_oracle(self):
         # second reader: assemble the kernel from the six partial-sum
         # pieces with the leading Fourier integrals inserted

@@ -54,6 +54,27 @@ class TestNondimensionalize:
             Couplings(0.0, 0.0, -2.0)
 
     @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("mass", np.nan),
+            ("hbar", np.inf),
+            ("hbar", 0.0),
+            ("hbar", -1.0),
+            ("length_scale", np.inf),
+            ("alpha", np.nan),
+            ("zeta_plus", complex(np.nan, 0.0)),
+            ("zeta_minus", complex(0.0, -np.inf)),
+        ],
+    )
+    def test_bad_physical_context_rejected(self, field, value):
+        # hbar = 0 used to reach nondimensionalize and divide by zero there
+        kwargs = dict(mass=1.0, hbar=1.0, length_scale=1.0, alpha=1.0,
+                      zeta_plus=0.1, zeta_minus=0.2)
+        kwargs[field] = value
+        with pytest.raises(DomainError):
+            PhysicalContext(**kwargs)
+
+    @pytest.mark.parametrize(
         "args", [(np.nan, 0.0), (0.0, complex(0.0, np.inf)), (0.0, 0.0, np.nan)]
     )
     def test_non_finite_couplings_rejected(self, args):

@@ -1,9 +1,10 @@
-"""Numerical kernel: complex erf, quadrature, 2x2 inverse square root,
-argument-principle counting, Newton refinement.
+"""Numerical kernel: adaptive quadrature, the panel rule with
+breakpoints, 2x2 inverse square root, argument-principle counting,
+Newton refinement.
 
-The erf oracle and symmetries, the I_{2,2} quadrature, the inverse square
-root round trip and zero-count additivity are registry checks
-(``numerics.*`` in ``ddscatter.verify.CHECKS``)."""
+The I_{2,2} quadrature, the inverse square root round trip and
+zero-count additivity are registry checks (``numerics.*`` in
+``ddscatter.verify.CHECKS``)."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ddscatter import (
     QuadratureError,
     QuadratureSpec,
     count_zeros,
-    erf_complex,
     integrate_1d,
     integrate_panels,
     k_matrix,
@@ -27,27 +27,7 @@ from ddscatter import (
     refine_root,
 )
 from ddscatter.numerics import _GL_WEIGHTS, _unit_panels
-from ddscatter.verify import I22_ALPHAS, INM_TOL, erf_segment_oracle, i22_error
-
-
-class TestErf:
-    def test_zero(self):
-        assert erf_complex(0.0) == 0.0
-
-    def test_real_point(self):
-        # oracle-derived value, frozen
-        assert abs(erf_complex(1.0) - 0.8427007929497149) < 1e-15
-        assert abs(erf_complex(1.0) - erf_segment_oracle(1.0)) < 1e-13
-
-    def test_imaginary_point(self):
-        # pure imaginary by oddness + reflection; frozen from the quadrature oracle
-        v = erf_complex(1j)
-        assert abs(v - 1.650425758797543j) < 1e-12
-        assert abs(v - erf_segment_oracle(1j)) < 1e-13
-
-    def test_overflow_guard(self):
-        with pytest.raises(DomainError):
-            erf_complex(2e6)
+from ddscatter.verify import I22_ALPHAS, INM_TOL, i22_error
 
 
 class TestIntegrate1d:
@@ -90,14 +70,20 @@ class TestIntegrate1d:
 class TestIntegratePanels:
     def test_gaussian_fourier(self):
         # int e^{-x^2} e^{2ix} dx = sqrt(pi) e^{-1}, tails below 1e-27 dropped
-        v = integrate_panels(lambda x: np.exp(-x * x + 2j * x), -8.0, 8.0, 1.0)
+        v = integrate_panels(lambda x: np.exp(-x * x + 2j * x), (-8.0, 8.0), 1.0)
         assert isinstance(v, complex)
         assert abs(v - np.sqrt(np.pi) * np.exp(-1)) < 1e-14
+
+    def test_breakpoints(self):
+        # the kink of |x - 0.3| sits on a cut, so each segment is exact:
+        # 1.3^2/2 + 1.7^2/2 = 2.29
+        v = integrate_panels(lambda x: np.abs(x - 0.3), (-1.0, 0.3, 2.0), 1.0)
+        assert abs(v - 2.29) < 1e-14
 
     def test_budget_exhausted(self):
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=8)
         with pytest.raises(QuadratureError) as info:
-            integrate_panels(lambda x: np.exp(-x * x), -8.0, 8.0, 4.0, spec)
+            integrate_panels(lambda x: np.exp(-x * x), (-8.0, 8.0), 4.0, spec)
         assert 0 < info.value.error_bound < 1e-3
         assert abs(info.value.estimate - np.sqrt(np.pi)) < 1e-3
 
@@ -154,6 +140,21 @@ class TestCountZeros:
             if 0.01 < r.imag < 2 and abs(r.real) < 1:
                 roots.add(round(r.real, 8) + 1j * round(r.imag, 8))
         assert len(roots) == 1
+
+    def test_max_step_resolves_a_fast_phase(self):
+        # e^{40ik} - 1/2 has 127 zeros above the real axis on Re k in
+        # [-10, 10] (k = 2 pi j / 40 + i ln2 / 40); its phase turns 40 rad
+        # per unit along the edges, so 64 samples alias and max_step =
+        # pi/80 (a quarter turn) does not
+        f = lambda k: np.exp(40j * k) - 0.5
+        rect = ComplexRect(-10.0, 10.0, 0.001, 1.0)
+        assert count_zeros(f, rect, np.pi / 80) == 127
+
+    def test_too_many_samples_rejected(self):
+        calls = []
+        with pytest.raises(ContourError, match="too wide"):
+            count_zeros(lambda k: calls.append(k) or k, ComplexRect(-1e9, 1e9, 1.0, 2.0), 1.0)
+        assert calls == []
 
     def test_zero_on_contour_rejected(self):
         # zero at k = 1 sits exactly on the right edge

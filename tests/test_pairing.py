@@ -24,6 +24,7 @@ from ddscatter import (
     kernel_eval,
     kernel_pair,
     kernels,
+    numerics,
     x_kernel,
 )
 from ddscatter.cli import main
@@ -59,9 +60,11 @@ class TestPanelCost:
     @pytest.mark.parametrize("build", [eta1_bounded, x_kernel], ids=["eta1_bounded", "x_kernel"])
     def test_two_levels_suffice(self, build, monkeypatch):
         # the coarsest panels, 4 min(sigma, 1/|k0|) wide, already meet the
-        # spec: every integral stops at its first halving
+        # spec: every integral stops at its first halving.  The plane rule
+        # calls kernels._converge; the line rule reaches numerics._converge
+        # through integrate_panels
         levels = {}
-        converge = kernels._converge
+        converge = numerics._converge
 
         def counted(rule, base_panels, spec):
             seen = levels.setdefault(rule.__qualname__.partition(".")[0], [])
@@ -73,8 +76,9 @@ class TestPanelCost:
             return converge(traced, base_panels, spec)
 
         monkeypatch.setattr(kernels, "_converge", counted)
+        monkeypatch.setattr(numerics, "_converge", counted)
         kernel_pair(build(C), BRA, KET)
-        assert levels == {"_pair_line": [0, 1], "_pair_plane": [0, 1]}
+        assert levels == {"integrate_panels": [0, 1], "_pair_plane": [0, 1]}
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(st.sampled_from([eta1_bounded, x_kernel]), packets, packets)

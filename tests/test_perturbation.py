@@ -383,7 +383,7 @@ class TestContinuumConsistency:
         # engine reproduces (minus) the first-order kernel on interior
         # points: Q1 = -eta1
         lam = 0.1
-        x, h = uniform_grid(400, 8.0)
+        x, h = uniform_grid(400)
         c = Couplings(1j * lam, -1j * lam, 1.0)
         from ddscatter.grid import gaussian_delta
 

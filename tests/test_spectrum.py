@@ -216,6 +216,40 @@ class TestBoundStates:
             assert len(roots) == total
 
 
+class TestWideWindows:
+    """Large couplings make default_bound_rect wide (Re k to +-25 and
+    beyond).  count_zeros then samples each edge every pi/(8a), so
+    e^{4iak} turns by at most pi/2 between samples; with 64 samples a
+    full turn could hide between two of them and the count came out
+    short."""
+
+    @pytest.mark.parametrize(
+        "mode,r,s,counts",
+        [("antisymmetric", 2.67, 8.0, (7, 0)), ("pt_symmetric", -5.0, 6.0, (4, 0))],
+    )
+    def test_cell_counts_every_root(self, mode, r, s, counts):
+        c = ScanMode(mode).couplings(r, s, 1.0)
+        assert count_bound_states(c) == counts
+        assert len(bound_state_roots(c, default_bound_rect(c))) == counts[0]
+
+    def test_antisymmetric_grid_all_ok(self):
+        grid = scan_region(ScanMode("antisymmetric"), (-8.0, 8.0), (-8.0, 8.0), 13)
+        assert [cell.status for cell in grid.flat] == ["ok"] * 169
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        mode=st.sampled_from(["antisymmetric", "pt_symmetric", "general"]),
+        r=st.floats(-8.0, 8.0),
+        s=st.floats(-8.0, 8.0),
+        z_minus_re=st.floats(-8.0, 8.0),
+        z_minus_im=st.floats(-8.0, 8.0),
+    )
+    def test_count_equals_roots_located(self, mode, r, s, z_minus_re, z_minus_im):
+        c = ScanMode(mode, complex(z_minus_re, z_minus_im)).couplings(r, s, 1.0)
+        total, _ = count_bound_states(c)
+        assert len(bound_state_roots(c, default_bound_rect(c))) == total
+
+
 def pt_imaginary_axis_roots(z, a=1.0):
     """Oracle for PT couplings z_- = conj(z_+) = conj(z): on k = i kappa,
     F(k) = (2ik - z_+)(2ik - z_-) - z_+ z_- e^{4iak} is the real function
