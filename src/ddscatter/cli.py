@@ -145,13 +145,21 @@ def _couplings_from_args(args):
 
 
 def _energy_scale(args):
-    if args.mass is not None and args.hbar is not None and args.ell is not None:
-        ctx = PhysicalContext(
-            mass=args.mass, hbar=args.hbar, length_scale=args.ell,
-            alpha=args.a * args.ell, zeta_plus=0.0, zeta_minus=0.0,
+    """The total_physical column's factor: all of --mass, --hbar and --ell,
+    or none of them (no column); a partial set is a usage error."""
+    flags = {"--mass": args.mass, "--hbar": args.hbar, "--ell": args.ell}
+    missing = [flag for flag, value in flags.items() if value is None]
+    if len(missing) == len(flags):
+        return None
+    if missing:
+        raise DomainError(
+            f"total_physical needs --mass, --hbar and --ell; missing {', '.join(missing)}"
         )
-        return ctx.energy_scale()
-    return None
+    ctx = PhysicalContext(
+        mass=args.mass, hbar=args.hbar, length_scale=args.ell,
+        alpha=args.a * args.ell, zeta_plus=0.0, zeta_minus=0.0,
+    )
+    return ctx.energy_scale()
 
 
 def _cmd_energy(args):

@@ -17,10 +17,11 @@ y_+- = Im z_+-; in the PT-symmetric and antisymmetric modes it reduces
 to k^2 = (y^2 - x^2)/2 for z_+ = x + iy.  Its roots, in closed form, seed
 Newton on M_22.
 
-Bound states are searched in a rectangle that covers the disc
+Bound states are searched in the square on the disc
 |k| <= (|z_+| + |z_-|)/2, which holds every zero of F with Im k >= 0
-(there |e^{4iak}| <= 1).  When the roots located in it do not match the
-argument-principle count, count_bound_states raises NoConvergenceError.
+(there |e^{4iak}| <= 1).  bound_state_roots counts them there by the
+argument principle, locates them, and raises NoConvergenceError when the
+roots located do not match the count; count_bound_states reads its roots.
 
 Coupling-plane scans classify each grid cell and flag the
 quasi-Hermitian region (no singularities, all bound-state energies
@@ -147,73 +148,44 @@ def _candidate_cubic(c: Couplings):
 
 
 def default_bound_rect(c: Couplings) -> ComplexRect:
-    """Default upper-half-plane search window.
+    """Upper-half-plane search window of the bound states.
 
     For Im k >= 0, |e^{4iak}| <= 1, so every zero of F there has
-    |k| <= (|z_+| + |z_-|)/2; the window covers that disc with a 25 %
-    margin.  Below the floors (3, 3|z|/a and 5) the disc sets neither
-    side, and the bottom edge keeps clear of the essential point k = 0.
+    |k| <= (|z_+| + |z_-|)/2; the window is the square on that disc with a
+    25 % margin, its bottom edge clear of the essential point k = 0.  The
+    floor 2 K_MIN_CUT only keeps the window non-degenerate at z = 0.
     """
-    zmax = max(abs(c.z_plus), abs(c.z_minus), 1.0)
-    disc = 1.25 * 0.5 * (abs(c.z_plus) + abs(c.z_minus))
-    half = max(3.0, 3.0 * zmax / c.a, disc)
-    return ComplexRect(-half, half, K_MIN_CUT, max(5.0, disc))
+    half = max(0.625 * (abs(c.z_plus) + abs(c.z_minus)), 2 * K_MIN_CUT)
+    return ComplexRect(-half, half, K_MIN_CUT, half)
 
 
-def count_bound_states(c: Couplings, rect: ComplexRect = None):
-    """(total, real_energy) bound-state counts inside a UHP rectangle.
+def count_bound_states(c: Couplings):
+    """(total, real_energy) bound-state counts: the roots bound_state_roots
+    locates, and those of them with |Im(k^2)| <= 1e-8."""
+    roots = bound_state_roots(c)
+    return len(roots), sum(1 for k in roots if abs((k * k).imag) <= _REAL_ENERGY_TOL)
 
-    total comes from the argument-principle count of the zeros of
-    k M_22(k); real_energy from refining each isolated zero and testing
-    |Im(k^2)| <= 1e-8.  ContourError propagates with a hint to perturb
-    the rectangle; NoConvergenceError is raised when the zeros located do
-    not match the count.
-    """
-    if rect is None:
-        rect = default_bound_rect(c)
-    if rect.im_min <= 0:
-        raise DomainError("bound-state rectangle must lie in the open upper half plane")
-    total = count_zeros(_regular_m22(c), rect, _max_step(c))
-    if total == 0:
-        return 0, 0
-    roots = bound_state_roots(c, rect, expected=total)
+
+def bound_state_roots(c: Couplings):
+    """Distinct zeros of M_22 in default_bound_rect(c), counted by the
+    argument principle and located by recursive rectangle bisection plus
+    Newton refinement, both applied to k M_22(k).  ContourError
+    propagates; NoConvergenceError is raised when the zeros located do
+    not match the count."""
+    f = lambda k: k * m22(c, k)  # the bound-state function, free of the pole at k = 0
+    step = np.pi / (8 * c.a)  # e^{4iak} turns by pi/2 over this step along an edge
+    rect = default_bound_rect(c)
+    total = count_zeros(f, rect, step)
+    roots = []
+    _isolate(f, step, rect, total, roots, depth=40)
     if len(roots) != total:
         raise NoConvergenceError(f"located {len(roots)} of {total} bound states")
-    real_energy = sum(1 for k in roots if abs((k * k).imag) <= _REAL_ENERGY_TOL)
-    return total, real_energy
-
-
-def bound_state_roots(c: Couplings, rect: ComplexRect, expected: int = None):
-    """Distinct zeros of M_22 inside rect, located by recursive rectangle
-    bisection (argument principle) plus Newton refinement, both applied
-    to k M_22(k)."""
-    if expected is None:
-        expected = count_zeros(_regular_m22(c), rect, _max_step(c))
-    roots = []
-    _isolate(c, rect, expected, roots, depth=40)
     return roots
 
 
-def _regular_m22(c):
-    """k -> k M_22(k): the bound-state function, free of the pole at k = 0."""
-    return lambda k: k * m22(c, k)
-
-
-def _max_step(c):
-    """count_zeros' sample spacing for k M_22: e^{4iak} turns by pi/2
-    over pi/(8a) along an edge."""
-    return np.pi / (8 * c.a)
-
-
-def _add_root(out, root):
-    if all(abs(root - r) > 1e-8 * max(1.0, abs(root)) for r in out):
-        out.append(root)
-
-
-def _isolate(c, rect, n, out, depth):
+def _isolate(f, step, rect, n, out, depth):
     if n == 0:
         return
-    f = _regular_m22(c)
     center = complex(0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max))
     if n == 1:
         try:
@@ -223,7 +195,9 @@ def _isolate(c, rect, n, out, depth):
         # accept a refined root in (or hugging) the box; otherwise Newton
         # jumped out and the box must be narrowed first
         if root is not None and rect.contains(root):
-            _add_root(out, root)
+            # a root already found from a neighbouring box is not added twice
+            if all(abs(root - r) > 1e-8 * max(1.0, abs(root)) for r in out):
+                out.append(root)
             return
     if depth <= 0:
         return
@@ -231,12 +205,12 @@ def _isolate(c, rect, n, out, depth):
         # split off-centre, by an amount that changes from try to try
         parts = rect.split(0.5 + 0.017 * ((depth * 5 + attempt) % 7 - 3))
         try:
-            counts = [count_zeros(f, p, _max_step(c)) for p in parts]
+            counts = [count_zeros(f, p, step) for p in parts]
         except ContourError:
             continue  # a zero sits on the split line: re-jitter
         if sum(counts) == n:
             for part, cnt in zip(parts, counts):
-                _isolate(c, part, cnt, out, depth - 1)
+                _isolate(f, step, part, cnt, out, depth - 1)
             return
 
 
@@ -265,13 +239,16 @@ def scan_region(
     """Grid of ScanCell over the (r, s) plane, row-major in (s, r).
 
     Cells are independent; with jobs != 1 they are computed by a process
-    pool and merged by index.  Deterministic for given inputs.  n and a
-    are checked before any cell runs (DomainError).
+    pool and merged by index (jobs 0 or -1: one worker per core).
+    Deterministic for given inputs.  n, a and jobs are checked before any
+    cell runs (DomainError).
     """
     if n < 2:
         raise DomainError("grid size n must be at least 2")
     if not (np.isfinite(a) and a > 0):
         raise DomainError("a must be positive and finite")
+    if jobs < -1:
+        raise DomainError(f"jobs must be -1, 0 or positive, got {jobs}")
     rs = np.linspace(r_range[0], r_range[1], n)
     ss = np.linspace(s_range[0], s_range[1], n)
     tasks = [(mode, r, s, a) for s in ss for r in rs]

@@ -553,7 +553,7 @@ def check_hermitian_row():
 
 def check_region_claims():
     c = Couplings(0.3, -0.3, 1.0)
-    total, real_e = spec.count_bound_states(c, ComplexRect(-1, 1, 1e-3, 3))
+    total, real_e = spec.count_bound_states(c)
     ci = Couplings(0.3j, -0.3j, 1.0)
     ss = spec.find_spectral_singularities(ci)
     ti, _ = spec.count_bound_states(ci)

@@ -97,10 +97,10 @@ class TestScanCommand:
     def test_failed_cell_exits_numerical(self, tmp_path, monkeypatch, capsys):
         real = spectrum_mod.count_bound_states
 
-        def fail_upper(c, rect=None):
+        def fail_upper(c):
             if c.z_plus.imag > 0:
                 raise ContourError("zero on the contour")
-            return real(c, rect)
+            return real(c)
 
         monkeypatch.setattr(spectrum_mod, "count_bound_states", fail_upper)
         out = tmp_path / "scan.csv"
@@ -154,7 +154,7 @@ def test_grid_without_points_is_usage_error(argv, n, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--n", "1"], ["--a", "0"]])
+@pytest.mark.parametrize("flags", [["--n", "1"], ["--a", "0"], ["--jobs", "-2"]])
 def test_bad_scan_input_is_usage_error(flags, tmp_path, capsys):
     # rejected before any cell runs, so no cell fails and no CSV is written
     out = tmp_path / "scan.csv"
@@ -162,6 +162,25 @@ def test_bad_scan_input_is_usage_error(flags, tmp_path, capsys):
                *flags, "--out", str(out)])
     assert rc == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,missing",
+    [(["--hbar", "0"], "--mass, --ell"),
+     (["--mass", "1"], "--hbar, --ell"),
+     (["--hbar", "1"], "--mass, --ell"),
+     (["--ell", "1"], "--mass, --hbar"),
+     (["--mass", "1", "--hbar", "1"], "--ell"),
+     (["--mass", "1", "--ell", "1"], "--hbar"),
+     (["--hbar", "1", "--ell", "1"], "--mass")],
+)
+def test_partial_dimensionful_flags_are_usage_error(flags, missing, tmp_path, capsys):
+    # without all three there is no energy scale: not a CSV that drops total_physical
+    out = tmp_path / "energy.csv"
+    rc = main(["energy", "--im-z", "0.2", *flags, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert f"missing {missing}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -155,11 +155,11 @@ class TestBoundStates:
 
     def test_real_antisymmetric_one_real(self):
         c = Couplings(0.3, -0.3, 1.0)
-        assert count_bound_states(c, ComplexRect(-1, 1, 1e-3, 3)) == (1, 1)
+        assert count_bound_states(c) == (1, 1)
 
     def test_root_location(self):
         c = Couplings(0.3, -0.3, 1.0)
-        roots = bound_state_roots(c, ComplexRect(-1, 1, 1e-3, 3))
+        roots = bound_state_roots(c)
         assert len(roots) == 1
         k = roots[0]
         # weakly bound: kappa solves 4 kappa^2 = z^2 (1 - e^{-4 kappa})
@@ -167,23 +167,23 @@ class TestBoundStates:
         kappa = k.imag
         assert abs(4 * kappa**2 - 0.09 * (1 - np.exp(-4 * kappa))) < 1e-10
 
+    def test_root_location_large_hermitian_row(self):
+        # z_+ = -z_- = 5000: kappa = 2500 (1 - e^{-4 kappa})^{1/2} = 2500, in a window
+        # 1.25e4 wide, within count_zeros' 2**16 samples per edge
+        roots = bound_state_roots(Couplings(5000, -5000, 1))
+        assert len(roots) == 1 and abs(roots[0] - 2500j) <= 1e-9 * 2500
+
     def test_pt_point_inside_circle(self):
         mode = ScanMode("pt_symmetric")
         total, _ = count_bound_states(mode.couplings(-0.5, 0.1, 1.0))
         assert total >= 1
 
-    def test_rect_must_be_uhp(self):
-        from ddscatter import DomainError
-
-        with pytest.raises(DomainError):
-            count_bound_states(Couplings(0.3, -0.3, 1.0), ComplexRect(-1, 1, -0.5, 3))
-
     def test_large_real_couplings_two_real(self):
         # z_+ = z_- = -12: F(i kappa) = 0 gives kappa = 6 -+ 6 e^{-2 kappa}, two
-        # bound states 7e-5 apart at Im k ~ 6, above the window's floor of 5
+        # bound states 7e-5 apart at Im k ~ 6, inside the disc |k| <= 12
         c = Couplings(-12, -12, 1)
         assert count_bound_states(c) == (2, 2)
-        kappas = sorted(k.imag for k in bound_state_roots(c, default_bound_rect(c)))
+        kappas = sorted(k.imag for k in bound_state_roots(c))
         fixed = [brentq(lambda x, sg=sg: x - 6 + sg * 6 * np.exp(-2 * x), 5.5, 6.5, xtol=1e-15)
                  for sg in (1, -1)]
         assert fixed == pytest.approx([5.999963132007482, 6.000036862556323], abs=1e-12)
@@ -201,7 +201,6 @@ class TestBoundStates:
 
     def test_count_matches_refined_roots(self):
         rng = np.random.default_rng(42)
-        rect = ComplexRect(-2.5, 2.5, 1e-3, 4.0)
         for _ in range(20):
             c = Couplings(
                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
@@ -209,28 +208,28 @@ class TestBoundStates:
                 1.0,
             )
             try:
-                total = count_zeros(lambda k: m22(c, k), rect)
+                total = count_zeros(lambda k: m22(c, k), default_bound_rect(c))
             except Exception:
                 continue  # zero hugging the contour: not this property's concern
-            roots = bound_state_roots(c, rect, expected=total)
-            assert len(roots) == total
+            assert len(bound_state_roots(c)) == total
 
 
 class TestWideWindows:
-    """Large couplings make default_bound_rect wide (Re k to +-25 and
-    beyond).  count_zeros then samples each edge every pi/(8a), so
-    e^{4iak} turns by at most pi/2 between samples; with 64 samples a
-    full turn could hide between two of them and the count came out
-    short."""
+    """Large couplings make default_bound_rect wide: Re k to +-10.5 for
+    antisymmetric (2.67, 8), to +-6250 on the Hermitian row z_+ = -z_- =
+    5000.  count_zeros then samples each edge every pi/(8a), so e^{4iak}
+    turns by at most pi/2 between samples; with 64 samples a full turn
+    could hide between two of them and the count came out short."""
 
     @pytest.mark.parametrize(
         "mode,r,s,counts",
-        [("antisymmetric", 2.67, 8.0, (7, 0)), ("pt_symmetric", -5.0, 6.0, (4, 0))],
+        [("antisymmetric", 2.67, 8.0, (7, 0)), ("pt_symmetric", -5.0, 6.0, (4, 0)),
+         ("antisymmetric", 5000.0, 0.0, (1, 1))],
     )
     def test_cell_counts_every_root(self, mode, r, s, counts):
         c = ScanMode(mode).couplings(r, s, 1.0)
         assert count_bound_states(c) == counts
-        assert len(bound_state_roots(c, default_bound_rect(c))) == counts[0]
+        assert len(bound_state_roots(c)) == counts[0]
 
     def test_antisymmetric_grid_all_ok(self):
         grid = scan_region(ScanMode("antisymmetric"), (-8.0, 8.0), (-8.0, 8.0), 13)
@@ -247,7 +246,10 @@ class TestWideWindows:
     def test_count_equals_roots_located(self, mode, r, s, z_minus_re, z_minus_im):
         c = ScanMode(mode, complex(z_minus_re, z_minus_im)).couplings(r, s, 1.0)
         total, _ = count_bound_states(c)
-        assert len(bound_state_roots(c, default_bound_rect(c))) == total
+        roots = bound_state_roots(c)
+        assert len(roots) == total
+        disc = 0.5 * (abs(c.z_plus) + abs(c.z_minus))
+        assert all(abs(k) <= disc * (1 + 1e-12) for k in roots)
 
 
 def pt_imaginary_axis_roots(z, a=1.0):
@@ -276,7 +278,7 @@ class TestBoundStatesNearThePole:
         assert count_bound_states(self.C) == (2, 2)
 
     def test_roots_match_imaginary_axis_oracle(self):
-        roots = sorted(bound_state_roots(self.C, default_bound_rect(self.C)), key=abs)
+        roots = sorted(bound_state_roots(self.C), key=abs)
         kappas = pt_imaginary_axis_roots(self.C.z_plus)
         assert len(kappas) == len(roots) == 2
         assert abs(kappas[0] - 0.0052296) < 1e-7 and abs(kappas[1] - 0.6243236) < 1e-7
@@ -289,7 +291,7 @@ class TestBoundStatesNearThePole:
         z = modulus * np.exp(1j * phase)
         c = Couplings(z, np.conj(z), 1.0)
         total, _ = count_bound_states(c)
-        assert len(bound_state_roots(c, default_bound_rect(c))) == total
+        assert len(bound_state_roots(c)) == total
 
 
 class TestScanRegion:
@@ -331,7 +333,7 @@ class TestScanRegion:
         assert not cell.quasi_hermitian
 
     def test_cell_does_not_hide_bugs(self, monkeypatch):
-        def bug(c, rect=None):
+        def bug(c):
             raise TypeError("not a numerical failure")
 
         monkeypatch.setattr(spectrum_mod, "count_bound_states", bug)
@@ -340,7 +342,7 @@ class TestScanRegion:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n": 1}, {"a": -1.0}, {"a": np.nan}, {"a": 0.0}, {"a": np.inf}],
+        [{"n": 1}, {"a": -1.0}, {"a": np.nan}, {"a": 0.0}, {"a": np.inf}, {"jobs": -2}],
     )
     def test_bad_input_rejected_before_any_cell(self, kwargs, monkeypatch):
         def no_cell(task):
