@@ -28,6 +28,7 @@ from .hermitianize import (
     energy_gaussian_moving,
     energy_gaussian_shifted,
     energy_quadrature,
+    h_delta_coefficients,
     h_kernel,
     p_kernel,
     u_fn,

@@ -139,7 +139,7 @@ def _cmd_scan(args):
 def _couplings_from_args(args):
     zp = complex(args.re_z, args.im_z)
     re_minus = args.re_z_minus if args.re_z_minus is not None else args.re_z
-    im_minus = args.im_z_minus if getattr(args, "im_z_minus", None) is not None else -args.im_z
+    im_minus = args.im_z_minus if args.im_z_minus is not None else -args.im_z
     zm = complex(re_minus, im_minus)
     return Couplings(zp, zm, args.a)
 
@@ -169,15 +169,14 @@ def _cmd_energy(args):
     scale = _energy_scale(args)
 
     base = {"sigma": args.sigma, "k": args.k, "x0": args.x0}
-    sweeps = [dict(base)]
+    rows = [base]
     sweep_var = None
     if args.sweep:
         sweep_var, (lo, hi, steps) = args.sweep
-        sweeps = []
-        for v in np.linspace(lo, hi, steps):
-            row = dict(base)
-            row[sweep_var] = float(v)
-            sweeps.append(row)
+        rows = [{**base, sweep_var: float(v)} for v in np.linspace(lo, hi, steps)]
+    # every packet is built before --out is opened, so a bad row is a
+    # usage error that leaves no file
+    packets = [herm.GaussianPacket(row["sigma"], row["k"], row["x0"]) for row in rows]
 
     header = [
         "sigma", "k0", "x0",
@@ -189,12 +188,11 @@ def _cmd_energy(args):
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in sweeps:
-            packet = herm.GaussianPacket(row["sigma"], row["k"], row["x0"])
+        for packet in packets:
             closed = herm.energy_gaussian(c, packet)
             oracle = herm.energy_quadrature(c, packet)
             out = [
-                f"{row['sigma']:.12g}", f"{row['k']:.12g}", f"{row['x0']:.12g}",
+                f"{packet.sigma:.12g}", f"{packet.k0:.12g}", f"{packet.x0:.12g}",
                 f"{closed.kinetic:.12g}", f"{closed.local_potential:.12g}",
                 f"{closed.nonlocal_part:.12g}", f"{closed.total:.12g}",
                 f"{oracle.total:.12g}", f"{abs(closed.total - oracle.total):.3e}",

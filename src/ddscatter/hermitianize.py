@@ -2,9 +2,12 @@
 
 The nonlocal Hermitian kernel equivalent to the non-Hermitian double-delta
 Hamiltonian (valid on the class Im(z_+) = -Im(z_-)), its action on wave
-functions, Gaussian-packet energy expectation values (quadrature oracle
+functions (apply_h: the regular part; h_delta_coefficients: the delta
+parts), Gaussian-packet energy expectation values (quadrature oracle
 plus closed forms built on the complex error function), and the
 first-order pseudo-Hermitian position and momentum kernels.
+GaussianPacket owns the box and the coarsest panel width that
+kernel_pair and energy_quadrature integrate it with.
 
 All energies are dimensionless (2 m l^2 E_phys / hbar^2); conversion to
 physical units happens at the CLI boundary via PhysicalContext.
@@ -14,24 +17,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedCouplingError
-from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm, _packet_box, _panel_width
+from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm
 from .model import Couplings, theta
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_panels
+from .numerics import _coarsest_width, integrate_panels
 
 __all__ = [
     "GaussianPacket",
     "EnergyBreakdown",
-    "ApplyHResult",
     "gaussian_segment_integral",
     "h_kernel",
     "apply_h",
+    "h_delta_coefficients",
     "energy_quadrature",
     "u_fn",
     "v_fn",
@@ -66,6 +67,21 @@ class GaussianPacket:
             raise DomainError("packet sigma, k0 and x0 must be finite")
         if self.sigma <= 0:
             raise DomainError("packet width sigma must be positive")
+
+    @property
+    def box(self):
+        """(x0 - 14 sigma, x0 + 14 sigma): the interval its integrals run
+        over."""
+        return self.x0 - 14 * self.sigma, self.x0 + 14 * self.sigma
+
+    @property
+    def panel_width(self):
+        """Width of its coarsest quadrature panels, 4 min(sigma, 1/|k0|):
+        on them 12 Gauss-Legendre nodes integrate a packet product to
+        about 1e-13, so the first halving usually meets the tolerance."""
+        if self.k0 == 0:
+            return 4.0 * self.sigma
+        return min(4.0 * self.sigma, 4.0 / abs(self.k0))
 
     @property
     def _norm(self):
@@ -142,10 +158,6 @@ def _require_class(c: Couplings):
         )
 
 
-def _prim(kind, arg, shift=0.0):
-    return KernelPrimitive(kind, arg, shift)
-
-
 def h_kernel(c: Couplings) -> DistributionalKernel:
     """Kernel of the equivalent Hermitian Hamiltonian:
 
@@ -159,9 +171,10 @@ def h_kernel(c: Couplings) -> DistributionalKernel:
     a = c.a
     lam2 = c.z_plus.imag ** 2
     w = lam2 / 8
+    diagonal = KernelPrimitive("dirac", "x-y")
     terms = [
-        KernelTerm(complex(c.z_plus.real), (_prim("dirac", "x-y"), _prim("dirac", "x", -a))),
-        KernelTerm(complex(c.z_minus.real), (_prim("dirac", "x-y"), _prim("dirac", "x", +a))),
+        KernelTerm(complex(c.z_plus.real), (diagonal, KernelPrimitive("dirac", "x", -a))),
+        KernelTerm(complex(c.z_minus.real), (diagonal, KernelPrimitive("dirac", "x", +a))),
     ]
     for dv, wv, sgn in (
         (("x", +a), ("y", +a), +1),
@@ -174,7 +187,7 @@ def h_kernel(c: Couplings) -> DistributionalKernel:
         (("y", -a), ("x", -a), -1),
     ):
         terms.append(
-            KernelTerm(sgn * w, (_prim("dirac", *dv), _prim("heaviside", *wv)))
+            KernelTerm(sgn * w, (KernelPrimitive("dirac", *dv), KernelPrimitive("heaviside", *wv)))
         )
     return DistributionalKernel(
         identity_coefficient=0.0,
@@ -183,37 +196,15 @@ def h_kernel(c: Couplings) -> DistributionalKernel:
     )
 
 
-@dataclass(frozen=True)
-class ApplyHResult:
-    """Action of the equivalent Hermitian Hamiltonian at a point: the
-    regular value plus the coefficients of delta(x -+ a).
-
-    The delta coefficients do not depend on x; each integrates its window
-    on first read, so integrating ``regular`` over x integrates none.
-    """
-
-    regular: complex
-    _plus: Callable[[], complex] = field(repr=False, compare=False)
-    _minus: Callable[[], complex] = field(repr=False, compare=False)
-
-    @cached_property
-    def delta_plus(self) -> complex:
-        return self._plus()
-
-    @cached_property
-    def delta_minus(self) -> complex:
-        return self._minus()
-
-
-def apply_h(c: Couplings, psi, x: float) -> ApplyHResult:
-    """(h psi)(x) with the distributional pieces reported separately.
+def apply_h(c: Couplings, psi, x: float) -> complex:
+    """Regular part of (h psi)(x); h_delta_coefficients gives the
+    coefficients of its delta(x -+ a) parts.
 
     psi must be array-callable (a float ndarray in, an ndarray of the same
     shape out), twice differentiable at x, and expose its second
     derivative as ``second_derivative`` (GaussianPacket does); anything
-    else raises DomainError.  The two window integrals are
-    energy_quadrature's, taken when a delta coefficient is first read.
-    Outside |x| <= 3a the regular part is exactly -psi''(x).
+    else raises DomainError.  Outside |x| <= 3a the value is exactly
+    -psi''(x).
     """
     _require_class(c)
     a = c.a
@@ -221,44 +212,43 @@ def apply_h(c: Couplings, psi, x: float) -> ApplyHResult:
     psi_dd = getattr(psi, "second_derivative", None)
     if psi_dd is None:
         raise DomainError("psi must expose its second derivative as second_derivative")
-
-    regular = -psi_dd(x) + (lam2 / 8) * (
-        (theta(x + a) - theta(x - 3 * a)) * psi(-a)
-        + (theta(x + 3 * a) - theta(x - a)) * psi(a)
-    )
-    return ApplyHResult(
-        complex(regular),
-        lambda: complex(
-            c.z_plus.real * psi(a)
-            + (lam2 / 8) * _panel_integral(psi, psi, -3 * a, a, DEFAULT_SPEC)
-        ),
-        lambda: complex(
-            c.z_minus.real * psi(-a)
-            + (lam2 / 8) * _panel_integral(psi, psi, -a, 3 * a, DEFAULT_SPEC)
-        ),
+    return complex(
+        -psi_dd(x) + (lam2 / 8) * (
+            (theta(x + a) - theta(x - 3 * a)) * psi(-a)
+            + (theta(x + 3 * a) - theta(x - a)) * psi(a)
+        )
     )
 
 
-# a kernel without terms: _panel_width then sees the packet's scales only
-_NO_TERMS = DistributionalKernel()
+def h_delta_coefficients(c: Couplings, psi: GaussianPacket):
+    """Coefficients of delta(x - a) and delta(x + a) in h psi.
+
+    They do not depend on x.  Each integrates a window of h's nonlocal
+    part, (-3a, a) and (-a, 3a), with energy_quadrature's panel rule.
+    """
+    _require_class(c)
+    a = c.a
+    lam2 = c.z_plus.imag ** 2
+    int_m, int_p = _windows(psi, a)
+    return (
+        complex(c.z_plus.real * psi(a) + (lam2 / 8) * int_p),
+        complex(c.z_minus.real * psi(-a) + (lam2 / 8) * int_m),
+    )
 
 
-def _panel_integral(f, psi, lo, hi, spec):
+def _panel_integral(f, psi, lo, hi):
     """int_lo^hi f by numerics.integrate_panels, from the coarsest panel
-    width kernel_pair uses for psi: 4 min(sigma, 1/|k0|) for a packet."""
-    h = _panel_width(_NO_TERMS, (psi,), lo, hi, spec)
-    return integrate_panels(f, (lo, hi), h, spec)
+    width kernel_pair uses for the packet psi."""
+    return integrate_panels(f, (lo, hi), _coarsest_width(psi.panel_width, lo, hi))
 
 
-def _windows(psi, a, spec):
+def _windows(psi, a):
     """int psi over (-a, 3a) and over (-3a, a), the windows of h's
     nonlocal part."""
-    return _panel_integral(psi, psi, -a, 3 * a, spec), _panel_integral(psi, psi, -3 * a, a, spec)
+    return _panel_integral(psi, psi, -a, 3 * a), _panel_integral(psi, psi, -3 * a, a)
 
 
-def energy_quadrature(
-    c: Couplings, packet: GaussianPacket, spec: QuadratureSpec = DEFAULT_SPEC
-) -> EnergyBreakdown:
+def energy_quadrature(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
     """Energy expectation value by quadrature; the oracle for every closed
     form below.
 
@@ -277,12 +267,12 @@ def energy_quadrature(
     _require_class(c)
     a = c.a
     kinetic = _panel_integral(
-        lambda x: np.abs(packet.derivative(x)) ** 2, packet, *_packet_box(packet), spec
+        lambda x: np.abs(packet.derivative(x)) ** 2, packet, *packet.box
     ).real
     local = (
         c.z_plus.real * abs(packet(a)) ** 2 + c.z_minus.real * abs(packet(-a)) ** 2
     )
-    int_m, int_p = _windows(packet, a, spec)
+    int_m, int_p = _windows(packet, a)
     lam2 = c.z_plus.imag ** 2
     nonloc = (lam2 / 4) * (
         np.conj(packet(-a)) * int_m + np.conj(packet(a)) * int_p
@@ -434,12 +424,12 @@ def x_kernel(c: Couplings) -> DistributionalKernel:
     _require_class(c)
     a = c.a
     coeff = 0.25j * c.z_plus.imag
-    ab = _prim("abs", "x-y")
+    ab = KernelPrimitive("abs", "x-y")
     return DistributionalKernel(
         terms=(
-            KernelTerm(1.0, (_prim("linear", "x"), _prim("dirac", "x-y"))),
-            KernelTerm(coeff, (ab, _prim("heaviside", "x+y", +2 * a))),
-            KernelTerm(-coeff, (ab, _prim("heaviside", "x+y", -2 * a))),
+            KernelTerm(1.0, (KernelPrimitive("linear", "x"), KernelPrimitive("dirac", "x-y"))),
+            KernelTerm(coeff, (ab, KernelPrimitive("heaviside", "x+y", +2 * a))),
+            KernelTerm(-coeff, (ab, KernelPrimitive("heaviside", "x+y", -2 * a))),
         )
     )
 
@@ -457,11 +447,11 @@ def p_kernel(c: Couplings) -> DistributionalKernel:
     _require_class(c)
     a = c.a
     coeff = 0.5 * c.z_plus.imag
-    s = _prim("sign", "x-y")
+    s = KernelPrimitive("sign", "x-y")
     return DistributionalKernel(
         momentum_flag=True,
         terms=(
-            KernelTerm(coeff, (s, _prim("dirac", "x+y", +2 * a))),
-            KernelTerm(-coeff, (s, _prim("dirac", "x+y", -2 * a))),
+            KernelTerm(coeff, (s, KernelPrimitive("dirac", "x+y", +2 * a))),
+            KernelTerm(-coeff, (s, KernelPrimitive("dirac", "x+y", -2 * a))),
         ),
     )

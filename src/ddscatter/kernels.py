@@ -15,6 +15,7 @@ Pairings integrate Dirac factors out exactly and integrate what remains
 with composite Gauss-Legendre panels (the numerics panel rule) on the
 cells cut out by the factors' kink lines, where the integrands (smooth
 wave functions times exp(-rate |u|), |u|, signs and steps) are smooth.
+They pair GaussianPackets, which give the box and the coarsest panels.
 
 Conventions: theta(0) = 1/2, sign(0) = 0.
 """
@@ -26,14 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .numerics import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    _converge,
-    _panel_count,
-    _unit_panels,
-    integrate_panels,
-)
+from .numerics import _coarsest_width, _converge, _panel_count, _unit_panels, integrate_panels
 
 __all__ = [
     "KernelPrimitive",
@@ -291,73 +285,44 @@ def _solve_dirac_point(diracs):
     return sol[0], sol[1], 1.0 / abs(det)
 
 
-def _packet_box(packet):
-    """(x0 - 14 sigma, x0 + 14 sigma): the interval a packet's integrals
-    run over."""
-    return packet.x0 - 14 * packet.sigma, packet.x0 + 14 * packet.sigma
-
-
 def _infer_support(bra, ket):
-    box = 40.0
-    for fn in (bra, ket):
-        if getattr(fn, "sigma", None) is None:
-            return (-box, box)
-    (bra_lo, bra_hi), (ket_lo, ket_hi) = _packet_box(bra), _packet_box(ket)
+    """The union of the two packets' boxes and [-2, 2]."""
+    (bra_lo, bra_hi), (ket_lo, ket_hi) = bra.box, ket.box
     return (min(bra_lo, ket_lo, -2.0), max(bra_hi, ket_hi, 2.0))
 
 
-def _panel_width(kern, packets, lo, hi, spec):
-    """Width of the coarsest panels: twice the shortest length scale among
-    the packets' 2 sigma and 2/|k0| and the kernel's four decay lengths
-    4/rate.  On a packet's panels, 4 min(sigma, 1/|k0|) wide, 12 nodes
-    integrate a packet product to about 1e-13, so the first halving
-    usually confirms; they resolve exp(-u) on a panel 8 wide to 1e-16 but
-    leave about 1e-8 on one 16 wide, so the decay scale stays.  A plain
-    callable declares no scale and counts as (hi - lo)/16.  The width is
-    kept large enough for two levels to fit spec.max_subdivisions (cells
-    are sized by their wider end, so a line can cross up to twice the box
-    in panels), so a kernel too steep for the budget fails fast with a
-    finite error bound."""
-    scales = [4.0 / f.rate for t in kern.terms for f in t.factors if f.kind == "exp_abs"]
-    for p in packets:
-        sigma = getattr(p, "sigma", None)
-        if sigma is None:
-            scales.append((hi - lo) / 16)
-            continue
-        scales.append(2.0 * sigma)
-        k0 = getattr(p, "k0", 0.0)
-        if k0 != 0:
-            scales.append(2.0 / abs(k0))
-    return max(2.0 * min(scales), 4.0 * (hi - lo) / spec.max_subdivisions)
+def _panel_width(kern, packets, lo, hi):
+    """Width of the coarsest panels: the shortest of the packets' panel
+    widths and the kernel's decay lengths 8/rate, floored by the panel
+    budget.  12 nodes resolve exp(-u) on a panel 8 wide to 1e-16 but
+    leave about 1e-8 on one 16 wide, so the decay scale stays."""
+    scales = [8.0 / f.rate for t in kern.terms for f in t.factors if f.kind == "exp_abs"]
+    scales += [p.panel_width for p in packets]
+    return _coarsest_width(min(scales), lo, hi)
 
 
-def kernel_pair(
-    kern: DistributionalKernel,
-    bra,
-    ket,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    support=None,
-):
-    """<bra | K | ket> = int int conj(bra(x)) K(x, y) ket(y) dx dy.
+def kernel_pair(kern: DistributionalKernel, bra, ket):
+    """<bra | K | ket> = int int conj(bra(x)) K(x, y) ket(y) dx dy for
+    GaussianPackets bra and ket.
 
     Dirac factors are integrated out analytically (one dimension removed
     per Dirac, with the proper Jacobian); what remains is integrated by
     composite Gauss-Legendre panels on the smooth cells between the
-    factors' kink lines, halving the panels until two widths agree to
-    ``spec``.  bra and ket must be bounded, vectorized, absolutely
-    integrable and smooth on the support.
+    factors' kink lines, over the union of the packets' boxes and
+    [-2, 2], halving the panels until two widths agree to the numerics
+    panel tolerance.
     """
     if kern.second_derivative_flag or kern.momentum_flag:
         raise DomainError(
             "kernel_pair handles multiplication-type kernels only; "
             "derivative parts are applied by the Hamiltonian module"
         )
-    lo, hi = support if support is not None else _infer_support(bra, ket)
-    h = _panel_width(kern, (bra, ket), lo, hi, spec)
-    return _pair(kern, ((bra, ket),), lo, hi, h, spec)
+    lo, hi = _infer_support(bra, ket)
+    h = _panel_width(kern, (bra, ket), lo, hi)
+    return _pair(kern, ((bra, ket),), lo, hi, h)
 
 
-def _pair(kern, products, lo, hi, h, spec):
+def _pair(kern, products, lo, hi, h):
     """Sum over (bra, ket) in products of <bra | K | ket> on [lo, hi]^2,
     with coarsest panel width h."""
     total = 0.0 + 0.0j
@@ -376,10 +341,10 @@ def _pair(kern, products, lo, hi, h, spec):
             key = (diracs[0].argument, diracs[0].shift)
             lines.setdefault(key, []).append((t.coefficient, t.regular_factors))
     for (arg, shift), terms in lines.items():
-        total += _pair_line(arg, shift, _TermArrays(terms), products, lo, hi, h, spec)
+        total += _pair_line(arg, shift, _TermArrays(terms), products, lo, hi, h)
     regular = kern._regular()
     if regular.term_rows:
-        total += _pair_plane(regular, products, lo, hi, h, spec)
+        total += _pair_plane(regular, products, lo, hi, h)
     return total
 
 
@@ -391,7 +356,7 @@ def _weight(products, x, y):
     return w
 
 
-def _pair_line(argument, shift, arrays, products, lo, hi, h, spec):
+def _pair_line(argument, shift, arrays, products, lo, hi, h):
     """Pairing of terms sharing the Dirac factor delta(argument + shift).
 
     The line is parametrized by x when it is horizontal and by y
@@ -425,7 +390,7 @@ def _pair_line(argument, shift, arrays, products, lo, hi, h, spec):
         x, y = px + dx * t, py + dy * t
         return arrays(x, y) * _weight(products, x, y)
 
-    return jac * integrate_panels(integrand, cuts, h, spec)
+    return jac * integrate_panels(integrand, cuts, h)
 
 
 def _plane_cells(lines, lo, hi, h):
@@ -460,7 +425,7 @@ def _plane_cells(lines, lo, hi, h):
     return panels
 
 
-def _pair_plane(arrays, products, lo, hi, h, spec):
+def _pair_plane(arrays, products, lo, hi, h):
     """Pairing of the Dirac-free terms: tensor Gauss-Legendre on each
     cell, y mapped linearly between the cell's bounding lines."""
     panels = _plane_cells(arrays.lines, lo, hi, h)
@@ -487,7 +452,7 @@ def _pair_plane(arrays, products, lo, hi, h, spec):
 
     outer = sum(_panel_count(xb - xa, h) for xa, xb, _, _, _ in panels)
     inner = max(sum(counts) for _, _, _, _, counts in panels)
-    return _converge(rule, max(outer, inner), spec)
+    return _converge(rule, max(outer, inner))
 
 
 _MIRROR_ARG = {"x": "y", "y": "x", "x+y": "x+y"}

@@ -34,12 +34,7 @@ from .kernels import (
 )
 from .hermitianize import gaussian_segment_integral
 from .model import Couplings, _psi_raw, k_matrix
-from .numerics import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    integrate_1d,
-    matrix_inv_sqrt,
-)
+from .numerics import QuadratureSpec, integrate_1d, matrix_inv_sqrt
 
 __all__ = [
     "AppendixAParams",
@@ -56,10 +51,6 @@ __all__ = [
 
 # tolerances of the k-space oracles below
 _SPECTRAL_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=800)
-
-
-def _prim(kind, arg, shift=0.0, rate=0.0):
-    return KernelPrimitive(kind, arg, shift, rate)
 
 
 def eta1_bounded(c: Couplings) -> DistributionalKernel:
@@ -80,12 +71,12 @@ def eta1_bounded(c: Couplings) -> DistributionalKernel:
         )
     lam = c.z_plus.imag
     coeff = 0.5j * lam
-    s = _prim("sign", "x-y")
+    s = KernelPrimitive("sign", "x-y")
     return DistributionalKernel(
         identity_coefficient=1.0,
         terms=(
-            KernelTerm(coeff, (s, _prim("heaviside", "x+y", +2 * c.a))),
-            KernelTerm(-coeff, (s, _prim("heaviside", "x+y", -2 * c.a))),
+            KernelTerm(coeff, (s, KernelPrimitive("heaviside", "x+y", +2 * c.a))),
+            KernelTerm(-coeff, (s, KernelPrimitive("heaviside", "x+y", -2 * c.a))),
         ),
     )
 
@@ -165,19 +156,19 @@ def eta1_appendixA(p: AppendixAParams) -> DistributionalKernel:
             new = []
             for factors, cf in expansions:
                 if kind == "th+":
-                    new.append((factors + [_prim("heaviside", arg, shift)], cf))
+                    new.append((factors + [KernelPrimitive("heaviside", arg, shift)], cf))
                 elif kind == "s":
-                    new.append((factors + [_prim("sign", arg, shift)], cf))
+                    new.append((factors + [KernelPrimitive("sign", arg, shift)], cf))
                 elif kind == "th-":
                     # theta(-(u)) = 1 - theta(u) pointwise except at u = 0
                     # where both conventions give 1/2, so the expansion is
                     # exact under sign(0) = 0
                     new.append((factors, cf))
-                    new.append((factors + [_prim("heaviside", arg, shift)], -cf))
+                    new.append((factors + [KernelPrimitive("heaviside", arg, shift)], -cf))
                 else:
                     raise DomainError(kind)
             expansions = new
-        e = _prim("exp_abs", exp_arg, exp_shift, rate)
+        e = KernelPrimitive("exp_abs", exp_arg, exp_shift, rate)
         for factors, cf in expansions:
             if cf != 0:
                 terms.append(KernelTerm(cf, tuple([e] + factors)))
@@ -398,13 +389,13 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
         (-d^2/dx^2 + d^2/dy^2 + v*(x) - v(y)) eta(x, y) = 0
 
     against a smooth bra/ket pair, with derivatives moved onto the test
-    functions, paired on [-12, 12]^2 to the default QuadratureSpec.  For
+    functions, paired on [-12, 12]^2 to the numerics panel tolerance.  For
     eta1_bounded the residual is O(z^2): first order cancels identically
     between the kinetic commutator and the potential difference on the
     diagonal.
 
-    test_bra and test_ket must expose second derivatives via attribute
-    ``second_derivative`` (GaussianPacket does).
+    test_bra and test_ket are GaussianPackets: their second derivatives
+    and panel widths are used.
     """
     lo, hi = _DE_SUPPORT
     a = c.a
@@ -422,7 +413,7 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
     reg_terms = tuple(t for t in kern.terms if not t.dirac_factors)
     if not reg_terms:
         return total
-    h = _panel_width(kern, (test_bra, test_ket), lo, hi, DEFAULT_SPEC)
+    h = _panel_width(kern, (test_bra, test_ket), lo, hi)
 
     # kinetic action moved to the test functions: pairings against the
     # second derivatives
@@ -430,19 +421,16 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
         (test_bra, test_ket.second_derivative),
         (test_bra.second_derivative, lambda y: -test_ket(y)),
     )
-    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h, DEFAULT_SPEC)
+    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h)
 
     # potential terms applied to the regular part: the line terms
     # conj(z) delta(x - pos) K(x, y) - z K(x, y) delta(y - pos)
     potential = []
     for z, pos in ((zp, a), (zm, -a)):
+        dirac_x, dirac_y = KernelPrimitive("dirac", "x", -pos), KernelPrimitive("dirac", "y", -pos)
         for t in reg_terms:
-            potential.append(
-                KernelTerm(np.conj(z) * t.coefficient, (_prim("dirac", "x", -pos),) + t.factors)
-            )
-            potential.append(
-                KernelTerm(-z * t.coefficient, (_prim("dirac", "y", -pos),) + t.factors)
-            )
+            potential.append(KernelTerm(np.conj(z) * t.coefficient, (dirac_x,) + t.factors))
+            potential.append(KernelTerm(-z * t.coefficient, (dirac_y,) + t.factors))
     potential_kern = DistributionalKernel(terms=tuple(potential))
-    total += _pair(potential_kern, ((test_bra, test_ket),), lo, hi, h, DEFAULT_SPEC)
+    total += _pair(potential_kern, ((test_bra, test_ket),), lo, hi, h)
     return total

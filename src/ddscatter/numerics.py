@@ -140,7 +140,7 @@ def integrate_1d(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
 
 
 # 12 nodes on panels four length scales wide integrate a Gaussian packet
-# product to about 1e-13, so one halving usually meets the default spec
+# product to about 1e-13, so one halving usually meets _PANEL_SPEC
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
@@ -157,15 +157,29 @@ def _unit_panels(count):
     return t, w.ravel()
 
 
-def _converge(rule, base_panels, spec):
-    """rule(level) integrates with panels of width h / 2**level; levels
-    are added until |Q_h - Q_{h/2}| meets spec, and Q_{h/2} is returned.
+# the panel rule's one tolerance and budget; _converge and _coarsest_width
+# read it when called, so a test can patch it
+_PANEL_SPEC = DEFAULT_SPEC
 
-    Once another halving would put more than spec.max_subdivisions
-    panels on one line, the last estimate is judged as integrate_1d
-    judges QUADPACK's: accepted up to 50 times the tolerance,
-    QuadratureError beyond (an infinite bound if only one level fit).
+
+def _coarsest_width(scale, lo, hi):
+    """Coarsest panel width on (lo, hi): the integrand's shortest length
+    scale, but wide enough for two levels to fit the budget even where a
+    pairing line crosses twice the box, so an integrand too steep for
+    the budget fails fast with a finite error bound."""
+    return max(scale, 4.0 * (hi - lo) / _PANEL_SPEC.max_subdivisions)
+
+
+def _converge(rule, base_panels):
+    """rule(level) integrates with panels of width h / 2**level; levels
+    are added until |Q_h - Q_{h/2}| meets _PANEL_SPEC; Q_{h/2} is returned.
+
+    Once another halving would put more than max_subdivisions panels on
+    one line, the last estimate is judged as integrate_1d judges
+    QUADPACK's: accepted up to 50 times the tolerance, QuadratureError
+    beyond (an infinite bound if only one level fit).
     """
+    spec = _PANEL_SPEC
     value, bound, level = rule(0), np.inf, 0
     while base_panels << (level + 1) <= spec.max_subdivisions:
         level += 1
@@ -182,7 +196,7 @@ def _converge(rule, base_panels, spec):
     return value
 
 
-def integrate_panels(f, cuts, h, spec: QuadratureSpec = DEFAULT_SPEC):
+def integrate_panels(f, cuts, h):
     """Composite 12-point Gauss-Legendre integral of f from cuts[0] to
     cuts[-1].
 
@@ -190,8 +204,8 @@ def integrate_panels(f, cuts, h, spec: QuadratureSpec = DEFAULT_SPEC):
     ndarray of nodes in, an ndarray of the same shape out) and smooth
     between neighbouring cuts.  Each segment is split into panels at
     most ``h`` wide, and all of them are halved together until two
-    widths agree to ``spec``.  Past spec.max_subdivisions panels in all
-    the last difference is the error bound: beyond 50 times the
+    widths agree to _PANEL_SPEC.  Past its max_subdivisions panels in
+    all the last difference is the error bound: beyond 50 times the
     tolerance QuadratureError carries the estimate and that bound
     (infinite if only one level fit).  Returns a complex.
     """
@@ -204,7 +218,7 @@ def integrate_panels(f, cuts, h, spec: QuadratureSpec = DEFAULT_SPEC):
             total += length * np.dot(w, f(a + length * t))
         return complex(total)
 
-    return _converge(rule, sum(count for _, _, count in segments), spec)
+    return _converge(rule, sum(count for _, _, count in segments))
 
 
 _BRANCH_TOL = 1e-13

@@ -184,6 +184,20 @@ def test_partial_dimensionful_flags_are_usage_error(flags, missing, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--sigma", "0"], ["--sweep", "sigma=-1:1:5"], ["--sweep", "sigma=1:-1:5"]],
+    ids=["sigma=0", "sweep-first-row", "sweep-third-row"],
+)
+def test_bad_packet_is_usage_error(flags, tmp_path, capsys):
+    # every row's packet is built before the CSV is opened: no partial file
+    out = tmp_path / "energy.csv"
+    rc = main(["energy", "--im-z", "0.2", *flags, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestEnergyCommand:
     def test_sweep_sigma_u_peak(self, tmp_path):
         out = tmp_path / "energy.csv"

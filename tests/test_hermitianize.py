@@ -27,6 +27,7 @@ from ddscatter import (
     energy_gaussian_moving,
     energy_gaussian_shifted,
     energy_quadrature,
+    h_delta_coefficients,
     h_kernel,
     kernel_eval,
     p_kernel,
@@ -35,7 +36,7 @@ from ddscatter import (
     w_fn,
     x_kernel,
 )
-from ddscatter import hermitianize
+from ddscatter import numerics
 from ddscatter.hermitianize import gaussian_segment_integral
 from ddscatter.numerics import integrate_1d
 
@@ -71,9 +72,9 @@ class TestHKernel:
 class TestApplyH:
     def test_free_gaussian(self):
         g = GaussianPacket(1.2, 0.4, 0.1)
-        out = apply_h(Couplings(0.0, 0.0, 1.0), g, 0.7)
-        assert abs(out.regular + g.second_derivative(0.7)) < 1e-14
-        assert out.delta_plus == 0 and out.delta_minus == 0
+        free = Couplings(0.0, 0.0, 1.0)
+        assert abs(apply_h(free, g, 0.7) + g.second_derivative(0.7)) < 1e-14
+        assert h_delta_coefficients(free, g) == (0, 0)
 
     def test_plain_callable_rejected(self):
         # apply_h needs psi'' and reads it from psi.second_derivative only
@@ -84,39 +85,20 @@ class TestApplyH:
     def test_windows_closed_far_out(self):
         g = GaussianPacket(1.2, 0.0, 0.0)
         for x in (3.5, -4.0, 8.0):
-            out = apply_h(C_GENERAL, g, x)
-            assert out.regular == -g.second_derivative(x)
+            assert apply_h(C_GENERAL, g, x) == -g.second_derivative(x)
 
     def test_expectation_matches_energy(self):
         g = GaussianPacket(1.5, 0.7, 0.4)
         c = C_GENERAL
         val = integrate_1d(
-            lambda x: np.conj(g(x)) * apply_h(c, g, x).regular, -22, 22,
+            lambda x: np.conj(g(x)) * apply_h(c, g, x), -22, 22,
             points=[-3 * c.a, -c.a, c.a, 3 * c.a],
         )
-        out = apply_h(c, g, 0.0)
-        val += np.conj(g(c.a)) * out.delta_plus + np.conj(g(-c.a)) * out.delta_minus
+        delta_plus, delta_minus = h_delta_coefficients(c, g)
+        val += np.conj(g(c.a)) * delta_plus + np.conj(g(-c.a)) * delta_minus
         oracle = energy_quadrature(c, g)
         assert abs(val.real - oracle.total) < 1e-8
         assert abs(val.imag) < 1e-10
-
-    def test_windows_integrated_only_for_delta_coefficients(self, monkeypatch):
-        calls = []
-        real = hermitianize.integrate_panels
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hermitianize, "integrate_panels", counted)
-        g = GaussianPacket(1.5, 0.7, 0.4)
-        outs = [apply_h(C_GENERAL, g, x) for x in np.linspace(-4.0, 4.0, 9)]
-        assert [o.regular for o in outs] and calls == []
-        # each coefficient integrates its own window once, on first read
-        outs[0].delta_plus, outs[0].delta_plus
-        assert calls == [(-3.0, 1.0)]
-        outs[0].delta_minus, outs[0].delta_minus
-        assert calls == [(-3.0, 1.0), (-1.0, 3.0)]
 
 
 class TestGaussianPacket:
@@ -189,11 +171,12 @@ class TestEnergies:
         assert abs(es.total - eq.total) <= 1e-6 * abs(eq.total)
 
     @pytest.mark.parametrize("max_subdivisions", [1, 2])
-    def test_quadrature_budget_exhausted(self, max_subdivisions):
+    def test_quadrature_budget_exhausted(self, max_subdivisions, monkeypatch):
         # one level (no error estimate) or two levels far from the tolerance
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=max_subdivisions)
+        monkeypatch.setattr(numerics, "_PANEL_SPEC", spec)
         with pytest.raises(QuadratureError) as info:
-            energy_quadrature(C_GENERAL, GaussianPacket(1.1, 0.5, -0.3), spec)
+            energy_quadrature(C_GENERAL, GaussianPacket(1.1, 0.5, -0.3))
         assert np.isfinite(info.value.estimate)
         if max_subdivisions == 1:
             assert info.value.error_bound == np.inf

@@ -24,6 +24,7 @@ from ddscatter import (
     k_matrix,
     m22,
     matrix_inv_sqrt,
+    numerics,
     refine_root,
 )
 from ddscatter.numerics import _GL_WEIGHTS, _unit_panels
@@ -80,10 +81,11 @@ class TestIntegratePanels:
         v = integrate_panels(lambda x: np.abs(x - 0.3), (-1.0, 0.3, 2.0), 1.0)
         assert abs(v - 2.29) < 1e-14
 
-    def test_budget_exhausted(self):
+    def test_budget_exhausted(self, monkeypatch):
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=8)
+        monkeypatch.setattr(numerics, "_PANEL_SPEC", spec)
         with pytest.raises(QuadratureError) as info:
-            integrate_panels(lambda x: np.exp(-x * x), (-8.0, 8.0), 4.0, spec)
+            integrate_panels(lambda x: np.exp(-x * x), (-8.0, 8.0), 4.0)
         assert 0 < info.value.error_bound < 1e-3
         assert abs(info.value.estimate - np.sqrt(np.pi)) < 1e-3
 

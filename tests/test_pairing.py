@@ -1,9 +1,13 @@
 """Panel Gauss-Legendre pairing: agreement with the adaptive-quadrature
-oracle and with a tighter spec, the number of panel levels it takes,
-error reporting past the panel budget, and the kernel dump's agreement
-with pointwise evaluation."""
+oracle and with a tighter panel tolerance, the packets' boxes and panel
+widths, the number of panel levels it takes, error reporting past the
+panel budget, and the kernel dump's agreement with pointwise evaluation.
+
+Tests that need another tolerance patch numerics._PANEL_SPEC, and tests
+that need a fixed box patch kernels._infer_support."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,10 +46,11 @@ packets = st.builds(
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("build", [eta1_bounded, x_kernel], ids=["eta1_bounded", "x_kernel"])
-    def test_regular_and_diagonal_terms(self, build):
+    def test_regular_and_diagonal_terms(self, build, monkeypatch):
         # the oracle's cost grows with the box, so both integrate a fixed one
         kern = build(C)
-        got = kernel_pair(kern, BRA, KET, support=(-6.0, 6.0))
+        monkeypatch.setattr(kernels, "_infer_support", lambda bra, ket: (-6.0, 6.0))
+        got = kernel_pair(kern, BRA, KET)
         want = oracle_pair(kern, BRA, KET, support=(-6.0, 6.0))
         assert abs(got - want) <= 1e-9
 
@@ -54,6 +59,40 @@ class TestAgainstOracle:
         window = [t for t in h_kernel(C).terms if len(t.dirac_factors) == 1][0]
         kern = DistributionalKernel(terms=(window,))
         assert abs(kernel_pair(kern, BRA, KET) - oracle_pair(kern, BRA, KET)) <= 1e-9
+
+
+class TestPanelWidth:
+    @pytest.mark.parametrize(
+        "packet,box,width",
+        [
+            (GaussianPacket(0.6, 0.0, 1.5), (-6.9, 9.9), 4 * 0.6),
+            (GaussianPacket(1.0, -3.0, 0.0), (-14.0, 14.0), 4 / 3),
+            (BRA, (-11.0, 11.4), 4 * 0.8),
+        ],
+        ids=["k0=0", "sigma=1,k0=-3", "BRA"],
+    )
+    def test_packet_box_and_width(self, packet, box, width):
+        # the box is x0 +- 14 sigma; the width 4 min(sigma, 1/|k0|)
+        assert packet.box == pytest.approx(box, abs=1e-14)
+        assert packet.panel_width == width
+
+    def test_smaller_packet_width(self):
+        # eta1_bounded has no decay length: the narrower packet sets it
+        box = kernels._infer_support(BRA, KET)
+        width = kernels._panel_width(eta1_bounded(C), (BRA, KET), *box)
+        assert width == min(BRA.panel_width, KET.panel_width) == 4 * 0.7
+
+    def test_decay_length(self):
+        # exp(-10 |x - y|) decays over 8/rate = 0.8, below both packets
+        kern = DistributionalKernel(
+            terms=(KernelTerm(1.0, (KernelPrimitive("exp_abs", "x-y", 0.0, 10.0),)),)
+        )
+        box = kernels._infer_support(BRA, KET)
+        assert kernels._panel_width(kern, (BRA, KET), *box) == 0.8
+
+    def test_budget_floor(self):
+        # two levels of 4 (hi - lo) / 400 wide panels fit the budget
+        assert kernels._panel_width(eta1_bounded(C), (BRA, KET), -1e4, 1e4) == 200.0
 
 
 class TestPanelCost:
@@ -66,14 +105,14 @@ class TestPanelCost:
         levels = {}
         converge = numerics._converge
 
-        def counted(rule, base_panels, spec):
+        def counted(rule, base_panels):
             seen = levels.setdefault(rule.__qualname__.partition(".")[0], [])
 
             def traced(level):
                 seen.append(level)
                 return rule(level)
 
-            return converge(traced, base_panels, spec)
+            return converge(traced, base_panels)
 
         monkeypatch.setattr(kernels, "_converge", counted)
         monkeypatch.setattr(numerics, "_converge", counted)
@@ -86,12 +125,14 @@ class TestPanelCost:
         # two levels agreeing at the wide start must not hide an error: a
         # 1e-13 spec adds levels and moves the value by less than 1e-10;
         # the fixed box bounds the cost of sigma = 4 with |k0| = 3
+        # (hypothesis rejects function-scoped fixtures such as monkeypatch)
         kern, box = build(C), (-8.0, 8.0)
-        value = kernel_pair(kern, bra, ket, support=box)
-        tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
-        assert abs(value - kernel_pair(kern, bra, ket, tight, support=box)) <= 1e-10 * max(
-            1.0, abs(value)
-        )
+        with mock.patch.object(kernels, "_infer_support", lambda bra, ket: box):
+            value = kernel_pair(kern, bra, ket)
+            tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+            with mock.patch.object(numerics, "_PANEL_SPEC", tight):
+                tight_value = kernel_pair(kern, bra, ket)
+        assert abs(value - tight_value) <= 1e-10 * max(1.0, abs(value))
 
 
 class TestPanelBudget:
@@ -103,11 +144,12 @@ class TestPanelBudget:
         ],
         ids=["line", "plane"],
     )
-    def test_unreachable_tolerance(self, kern, max_subdivisions):
+    def test_unreachable_tolerance(self, kern, max_subdivisions, monkeypatch):
         # the error carries the estimate of the one integral that failed
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=max_subdivisions)
-        with pytest.raises(QuadratureError) as info:
-            kernel_pair(kern, BRA, KET, spec)
+        with monkeypatch.context() as m, pytest.raises(QuadratureError) as info:
+            m.setattr(numerics, "_PANEL_SPEC", spec)
+            kernel_pair(kern, BRA, KET)
         assert 0 < info.value.error_bound < 1e-12
         assert abs(info.value.estimate - kernel_pair(kern, BRA, KET)) < 1e-12
 
@@ -121,10 +163,11 @@ class TestPanelBudget:
             kernel_pair(kern, BRA, KET)
         assert np.isfinite(info.value.error_bound) and np.isfinite(info.value.estimate)
 
-    def test_single_subdivision(self):
+    def test_single_subdivision(self, monkeypatch):
         # one level fits, so there is no error estimate at all
+        monkeypatch.setattr(numerics, "_PANEL_SPEC", QuadratureSpec(max_subdivisions=1))
         with pytest.raises(QuadratureError) as info:
-            kernel_pair(eta1_bounded(C), BRA, KET, QuadratureSpec(max_subdivisions=1))
+            kernel_pair(eta1_bounded(C), BRA, KET)
         assert info.value.error_bound == np.inf
         assert np.isfinite(info.value.estimate)
 
