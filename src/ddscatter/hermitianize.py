@@ -6,8 +6,9 @@ functions (apply_h: the regular part; h_delta_coefficients: the delta
 parts), Gaussian-packet energy expectation values (quadrature oracle
 plus closed forms built on the complex error function), and the
 first-order pseudo-Hermitian position and momentum kernels.
-GaussianPacket owns the box and the coarsest panel width that
-kernel_pair and energy_quadrature integrate it with.
+GaussianPacket, defined in kernels and re-exported here, owns the box
+and the coarsest panel width that kernel_pair and energy_quadrature
+integrate it with.
 
 All energies are dimensionless (2 m l^2 E_phys / hbar^2); conversion to
 physical units happens at the CLI boundary via PhysicalContext.
@@ -22,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedCouplingError
-from .kernels import DistributionalKernel, KernelPrimitive, KernelTerm
+from .kernels import (
+    DistributionalKernel,
+    GaussianPacket,
+    KernelPrimitive,
+    KernelTerm,
+    _require_packets,
+)
 from .model import Couplings, theta
 from .numerics import _coarsest_width, integrate_panels
 
@@ -45,62 +52,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class GaussianPacket:
-    """Normalized Gaussian wave packet with width sigma, mean momentum k0
-    and mean position x0:  pi^{-1/4} sigma^{-1/2}
-    exp(-(x-x0)^2 / 2 sigma^2 + i k0 x).
-
-    sigma, k0 and x0 are stored as Python floats, so the scalar closed
-    forms built on them run in float arithmetic."""
-
-    sigma: float
-    k0: float = 0.0
-    x0: float = 0.0
-
-    def __post_init__(self):
-        for name in ("sigma", "k0", "x0"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.sigma) and math.isfinite(self.k0) and math.isfinite(self.x0)):
-            raise DomainError("packet sigma, k0 and x0 must be finite")
-        if self.sigma <= 0:
-            raise DomainError("packet width sigma must be positive")
-
-    @property
-    def box(self):
-        """(x0 - 14 sigma, x0 + 14 sigma): the interval its integrals run
-        over."""
-        return self.x0 - 14 * self.sigma, self.x0 + 14 * self.sigma
-
-    @property
-    def panel_width(self):
-        """Width of its coarsest quadrature panels, 4 min(sigma, 1/|k0|):
-        on them 12 Gauss-Legendre nodes integrate a packet product to
-        about 1e-13, so the first halving usually meets the tolerance."""
-        if self.k0 == 0:
-            return 4.0 * self.sigma
-        return min(4.0 * self.sigma, 4.0 / abs(self.k0))
-
-    @property
-    def _norm(self):
-        return math.pi ** (-0.25) / math.sqrt(self.sigma)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._norm * np.exp(
-            -((x - self.x0) ** 2) / (2 * self.sigma**2) + 1j * self.k0 * x
-        )
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return (-(x - self.x0) / self.sigma**2 + 1j * self.k0) * self(x)
-
-    def second_derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        g = -(x - self.x0) / self.sigma**2 + 1j * self.k0
-        return (g * g - 1.0 / self.sigma**2) * self(x)
 
 
 def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0):
@@ -224,8 +175,10 @@ def h_delta_coefficients(c: Couplings, psi: GaussianPacket):
     """Coefficients of delta(x - a) and delta(x + a) in h psi.
 
     They do not depend on x.  Each integrates a window of h's nonlocal
-    part, (-3a, a) and (-a, 3a), with energy_quadrature's panel rule.
+    part, (-3a, a) and (-a, 3a), with energy_quadrature's panel rule, so
+    psi must be a GaussianPacket (DomainError otherwise).
     """
+    _require_packets(psi)
     _require_class(c)
     a = c.a
     lam2 = c.z_plus.imag ** 2
@@ -236,16 +189,29 @@ def h_delta_coefficients(c: Couplings, psi: GaussianPacket):
     )
 
 
-def _panel_integral(f, psi, lo, hi):
-    """int_lo^hi f by numerics.integrate_panels, from the coarsest panel
-    width kernel_pair uses for the packet psi."""
-    return integrate_panels(f, (lo, hi), _coarsest_width(psi.panel_width, lo, hi))
+def _panel_integral(f, width, lo, hi):
+    """int_lo^hi f by numerics.integrate_panels, from panels `width` wide
+    (wider only where the budget could not hold two levels)."""
+    return integrate_panels(f, (lo, hi), _coarsest_width(width, lo, hi))
 
 
 def _windows(psi, a):
     """int psi over (-a, 3a) and over (-3a, a), the windows of h's
-    nonlocal part."""
-    return _panel_integral(psi, psi, -a, 3 * a), _panel_integral(psi, psi, -3 * a, a)
+    nonlocal part, from the coarsest panel width kernel_pair uses for
+    the packet psi."""
+    return (
+        _panel_integral(psi, psi.panel_width, -a, 3 * a),
+        _panel_integral(psi, psi.panel_width, -3 * a, a),
+    )
+
+
+def _kinetic(psi):
+    """int |psi'|^2 over psi.box.  The integrand, |psi|^2 ((x - x0)^2/sigma^4
+    + k0^2), has width sigma/sqrt2 and no phase, so its panels start
+    4 sigma/sqrt2 wide whatever k0 is."""
+    return _panel_integral(
+        lambda x: np.abs(psi.derivative(x)) ** 2, 4.0 * psi.sigma / _SQRT2, *psi.box
+    ).real
 
 
 def energy_quadrature(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
@@ -257,18 +223,18 @@ def energy_quadrature(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
           + (Im z_+)^2/4 * Re[ psi*(-a) int_{-a}^{3a} psi
                                + psi*(a) int_{-3a}^{a} psi ]
 
-    The kinetic integral runs over x0 +- 14 sigma, the windows over
-    (-a, 3a) and (-3a, a), each by numerics.integrate_panels with the
-    coarsest panel width kernel_pair uses for a packet: four times the
-    shorter of sigma and 1/|k0|.  It samples psi and psi' in x-space
-    only, so it shares nothing with the erf/Faddeeva closed forms it
-    checks.
+    Each part runs by numerics.integrate_panels.  The kinetic integral
+    runs over packet.box from panels 4 sigma/sqrt2 wide, the scale of
+    |psi'|^2.  The windows (-a, 3a) and (-3a, a) start from the coarsest
+    panel width kernel_pair uses for a packet: four times the shorter of
+    sigma and 1/|k0|.  It samples psi and psi' in x-space only, so it
+    shares nothing with the erf/Faddeeva closed forms it checks.
+    packet must be a GaussianPacket (DomainError otherwise).
     """
+    _require_packets(packet)
     _require_class(c)
     a = c.a
-    kinetic = _panel_integral(
-        lambda x: np.abs(packet.derivative(x)) ** 2, packet, *packet.box
-    ).real
+    kinetic = _kinetic(packet)
     local = (
         c.z_plus.real * abs(packet(a)) ** 2 + c.z_minus.real * abs(packet(-a)) ** 2
     )

@@ -15,21 +15,28 @@ Pairings integrate Dirac factors out exactly and integrate what remains
 with composite Gauss-Legendre panels (the numerics panel rule) on the
 cells cut out by the factors' kink lines, where the integrands (smooth
 wave functions times exp(-rate |u|), |u|, signs and steps) are smooth.
-They pair GaussianPackets, which give the box and the coarsest panels.
+They pair GaussianPackets, which own the box that bounds every packet
+integral: x0 +- B sigma, with B set by the panel tolerance (8 at 1e-10).
+Plane panels start at the narrower packet's scale, line panels at the
+scale of the two packets' product.
 
 Conventions: theta(0) = 1/2, sign(0) = 0.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
 from .errors import DomainError, SingularPointError
 from .numerics import _coarsest_width, _converge, _panel_count, _unit_panels, integrate_panels
 
 __all__ = [
+    "GaussianPacket",
     "KernelPrimitive",
     "KernelTerm",
     "DistributionalKernel",
@@ -47,6 +54,77 @@ _KINKED = ("sign", "heaviside", "exp_abs", "abs")
 
 # linear-form coefficients of each argument in (x, y)
 _ARG_COEFFS = {"x": (1.0, 0.0), "y": (0.0, 1.0), "x-y": (1.0, -1.0), "x+y": (1.0, 1.0)}
+
+
+@dataclass(frozen=True)
+class GaussianPacket:
+    """Normalized Gaussian wave packet with width sigma, mean momentum k0
+    and mean position x0:  pi^{-1/4} sigma^{-1/2}
+    exp(-(x-x0)^2 / 2 sigma^2 + i k0 x).
+
+    sigma, k0 and x0 are stored as Python floats, so the scalar closed
+    forms built on them run in float arithmetic."""
+
+    sigma: float
+    k0: float = 0.0
+    x0: float = 0.0
+
+    def __post_init__(self):
+        for name in ("sigma", "k0", "x0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (math.isfinite(self.sigma) and math.isfinite(self.k0) and math.isfinite(self.x0)):
+            raise DomainError("packet sigma, k0 and x0 must be finite")
+        if self.sigma <= 0:
+            raise DomainError("packet width sigma must be positive")
+
+    @property
+    def box(self):
+        """(x0 - B sigma, x0 + B sigma): the interval its integrals run over.
+
+        B = ceil(sqrt(2 ln(1/tol))) + 1 for the panel tolerance tol =
+        numerics._PANEL_SPEC.abs_tol, read when called: 8 at 1e-10, 9 at
+        1e-13.  The mass of |psi| outside the box is
+        pi^{-1/4} sqrt(2 pi) sqrt(sigma) erfc(B/sqrt2), about
+        2.3e-15 sqrt(sigma) at B = 8.  A tail below double-precision
+        rounding changes no sum, so tol stops at the machine epsilon
+        (B = 10)."""
+        tol = max(numerics._PANEL_SPEC.abs_tol, sys.float_info.epsilon)
+        half = (math.ceil(math.sqrt(2.0 * math.log(1.0 / tol))) + 1) * self.sigma
+        return self.x0 - half, self.x0 + half
+
+    @property
+    def panel_width(self):
+        """Width of its coarsest quadrature panels, 4 min(sigma, 1/|k0|):
+        on them 12 Gauss-Legendre nodes integrate a packet product to
+        about 1e-13, so the first halving usually meets the tolerance."""
+        if self.k0 == 0:
+            return 4.0 * self.sigma
+        return min(4.0 * self.sigma, 4.0 / abs(self.k0))
+
+    @property
+    def _norm(self):
+        return math.pi ** (-0.25) / math.sqrt(self.sigma)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return self._norm * np.exp(
+            -((x - self.x0) ** 2) / (2 * self.sigma**2) + 1j * self.k0 * x
+        )
+
+    def derivative(self, x):
+        x = np.asarray(x, dtype=float)
+        return (-(x - self.x0) / self.sigma**2 + 1j * self.k0) * self(x)
+
+    def second_derivative(self, x):
+        x = np.asarray(x, dtype=float)
+        g = -(x - self.x0) / self.sigma**2 + 1j * self.k0
+        return (g * g - 1.0 / self.sigma**2) * self(x)
+
+
+def _require_packets(*psis):
+    """DomainError unless every argument is a GaussianPacket."""
+    if not all(isinstance(psi, GaussianPacket) for psi in psis):
+        raise DomainError("packet arguments must be GaussianPackets")
 
 
 def _primitive_values(kind, u, rate):
@@ -248,7 +326,8 @@ def kernel_eval(kern: DistributionalKernel, x: float, y: float) -> complex:
 
 
 # points per evaluation block: bounds the temporaries of grids and pairings
-_BLOCK = 8192
+# (64 kB per complex array, below glibc's default mmap threshold)
+_BLOCK = 4096
 
 
 def regular_part_grid(kern: DistributionalKernel, xs, ys):
@@ -291,19 +370,35 @@ def _infer_support(bra, ket):
     return (min(bra_lo, ket_lo, -2.0), max(bra_hi, ket_hi, 2.0))
 
 
+def _decay_lengths(kern):
+    """8/rate for each exp_abs factor: 12 nodes resolve exp(-u) on a panel
+    8 wide to 1e-16 but leave about 1e-8 on one 16 wide."""
+    return [8.0 / f.rate for t in kern.terms for f in t.factors if f.kind == "exp_abs"]
+
+
 def _panel_width(kern, packets, lo, hi):
-    """Width of the coarsest panels: the shortest of the packets' panel
-    widths and the kernel's decay lengths 8/rate, floored by the panel
-    budget.  12 nodes resolve exp(-u) on a panel 8 wide to 1e-16 but
-    leave about 1e-8 on one 16 wide, so the decay scale stays."""
-    scales = [8.0 / f.rate for t in kern.terms for f in t.factors if f.kind == "exp_abs"]
-    scales += [p.panel_width for p in packets]
-    return _coarsest_width(min(scales), lo, hi)
+    """Width of the coarsest plane panels: the shortest of the packets'
+    panel widths and the kernel's decay lengths, floored by the panel
+    budget."""
+    return _coarsest_width(min(_decay_lengths(kern) + [p.panel_width for p in packets]), lo, hi)
+
+
+def _line_width(kern, bra, ket, lo, hi):
+    """Width of the coarsest line panels.  On a Dirac line the two packets
+    multiply to a Gaussian of width (sigma_bra^-2 + sigma_ket^-2)^-1/2
+    whose phase turns at up to |k_bra| + |k_ket|, so the panels start at
+    4 min(that width, 1/(|k_bra| + |k_ket|)), capped by the kernel's decay
+    lengths and floored by the panel budget."""
+    width = 4.0 / math.hypot(1.0 / bra.sigma, 1.0 / ket.sigma)
+    k = abs(bra.k0) + abs(ket.k0)
+    if k > 0:
+        width = min(width, 4.0 / k)
+    return _coarsest_width(min(_decay_lengths(kern) + [width]), lo, hi)
 
 
 def kernel_pair(kern: DistributionalKernel, bra, ket):
     """<bra | K | ket> = int int conj(bra(x)) K(x, y) ket(y) dx dy for
-    GaussianPackets bra and ket.
+    GaussianPackets bra and ket; anything else raises DomainError.
 
     Dirac factors are integrated out analytically (one dimension removed
     per Dirac, with the proper Jacobian); what remains is integrated by
@@ -312,6 +407,7 @@ def kernel_pair(kern: DistributionalKernel, bra, ket):
     [-2, 2], halving the panels until two widths agree to the numerics
     panel tolerance.
     """
+    _require_packets(bra, ket)
     if kern.second_derivative_flag or kern.momentum_flag:
         raise DomainError(
             "kernel_pair handles multiplication-type kernels only; "
@@ -319,12 +415,12 @@ def kernel_pair(kern: DistributionalKernel, bra, ket):
         )
     lo, hi = _infer_support(bra, ket)
     h = _panel_width(kern, (bra, ket), lo, hi)
-    return _pair(kern, ((bra, ket),), lo, hi, h)
+    return _pair(kern, ((bra, ket),), lo, hi, h, _line_width(kern, bra, ket, lo, hi))
 
 
-def _pair(kern, products, lo, hi, h):
+def _pair(kern, products, lo, hi, h, h_line):
     """Sum over (bra, ket) in products of <bra | K | ket> on [lo, hi]^2,
-    with coarsest panel width h."""
+    with coarsest panel width h on the plane and h_line on Dirac lines."""
     total = 0.0 + 0.0j
     # single-Dirac terms grouped by their line; the identity is delta(x-y)
     lines = {}
@@ -341,7 +437,7 @@ def _pair(kern, products, lo, hi, h):
             key = (diracs[0].argument, diracs[0].shift)
             lines.setdefault(key, []).append((t.coefficient, t.regular_factors))
     for (arg, shift), terms in lines.items():
-        total += _pair_line(arg, shift, _TermArrays(terms), products, lo, hi, h)
+        total += _pair_line(arg, shift, _TermArrays(terms), products, lo, hi, h_line)
     regular = kern._regular()
     if regular.term_rows:
         total += _pair_plane(regular, products, lo, hi, h)

@@ -28,8 +28,11 @@ from .kernels import (
     DistributionalKernel,
     KernelPrimitive,
     KernelTerm,
+    _infer_support,
+    _line_width,
     _pair,
     _panel_width,
+    _require_packets,
     hermitian_completion,
 )
 from .hermitianize import gaussian_segment_integral
@@ -380,24 +383,23 @@ def spectral_metric_estimate(c: Couplings, x: float, y: float):
     return (8.0 * i1 - 6.0 * i2 + i4) / 3.0
 
 
-_DE_SUPPORT = (-12.0, 12.0)
-
-
 def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_ket):
     """Weak-form residual of the metric differential equation
 
         (-d^2/dx^2 + d^2/dy^2 + v*(x) - v(y)) eta(x, y) = 0
 
     against a smooth bra/ket pair, with derivatives moved onto the test
-    functions, paired on [-12, 12]^2 to the numerics panel tolerance.  For
+    functions, paired over the union of the packets' boxes and [-2, 2]
+    (kernel_pair's square) to the numerics panel tolerance.  For
     eta1_bounded the residual is O(z^2): first order cancels identically
     between the kinetic commutator and the potential difference on the
     diagonal.
 
-    test_bra and test_ket are GaussianPackets: their second derivatives
-    and panel widths are used.
+    test_bra and test_ket are GaussianPackets (DomainError otherwise):
+    their boxes, second derivatives and panel widths are used.
     """
-    lo, hi = _DE_SUPPORT
+    _require_packets(test_bra, test_ket)
+    lo, hi = _infer_support(test_bra, test_ket)
     a = c.a
     zp, zm = c.z_plus, c.z_minus
 
@@ -414,6 +416,7 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
     if not reg_terms:
         return total
     h = _panel_width(kern, (test_bra, test_ket), lo, hi)
+    h_line = _line_width(kern, test_bra, test_ket, lo, hi)
 
     # kinetic action moved to the test functions: pairings against the
     # second derivatives
@@ -421,7 +424,7 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
         (test_bra, test_ket.second_derivative),
         (test_bra.second_derivative, lambda y: -test_ket(y)),
     )
-    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h)
+    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h, h_line)
 
     # potential terms applied to the regular part: the line terms
     # conj(z) delta(x - pos) K(x, y) - z K(x, y) delta(y - pos)
@@ -432,5 +435,5 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
             potential.append(KernelTerm(np.conj(z) * t.coefficient, (dirac_x,) + t.factors))
             potential.append(KernelTerm(-z * t.coefficient, (dirac_y,) + t.factors))
     potential_kern = DistributionalKernel(terms=tuple(potential))
-    total += _pair(potential_kern, ((test_bra, test_ket),), lo, hi, h)
+    total += _pair(potential_kern, ((test_bra, test_ket),), lo, hi, h, h_line)
     return total

@@ -82,6 +82,12 @@ class TestApplyH:
         with pytest.raises(DomainError, match="second_derivative"):
             apply_h(C_GENERAL, lambda x: g(x), 0.7)
 
+    def test_delta_coefficients_need_a_packet(self):
+        # the windows are integrated from the packet's panel width
+        g = GaussianPacket(1.2, 0.4, 0.1)
+        with pytest.raises(DomainError, match="GaussianPacket"):
+            h_delta_coefficients(C_GENERAL, lambda x: g(x))
+
     def test_windows_closed_far_out(self):
         g = GaussianPacket(1.2, 0.0, 0.0)
         for x in (3.5, -4.0, 8.0):
@@ -113,6 +119,11 @@ class TestEnergies:
         e = energy_quadrature(Couplings(0.0, 0.0, 1.0), GaussianPacket(2.0))
         assert abs(e.kinetic - 1 / (2 * 4.0)) < 1e-12
         assert e.local_potential == 0 and e.nonlocal_part == 0
+
+    def test_plain_callable_rejected(self):
+        g = GaussianPacket(2.0)
+        with pytest.raises(DomainError, match="GaussianPacket"):
+            energy_quadrature(C_GENERAL, lambda x: g(x))
 
     def test_even_packet_antisymmetric_local_cancels(self):
         e = energy_quadrature(C_ANTISYM, GaussianPacket(1.3, 0.0, 0.0))

@@ -156,6 +156,14 @@ class TestKernelPair:
         with pytest.raises(DomainError):
             kernel_pair(kern, g, g)
 
+    def test_plain_callable_rejected(self):
+        # the box and panel widths come from the packet, so a bare
+        # function is a typed error, not an AttributeError
+        g = GaussianPacket(1.0)
+        ident = DistributionalKernel(identity_coefficient=1.0)
+        with pytest.raises(DomainError, match="GaussianPacket"):
+            kernel_pair(ident, g, lambda x: g(x))
+
 
 class TestCompletionAndSerialization:
     def test_completion_hermitian(self):

@@ -24,6 +24,7 @@ from ddscatter import (
     spectral_metric_estimate,
     u_inverse_sqrt_route,
 )
+from ddscatter import metric
 from ddscatter.model import theta
 from ddscatter.verify import INM_POINTS, INM_TOL, inm_error
 
@@ -170,3 +171,29 @@ class TestMetricDE:
         ident = DistributionalKernel(identity_coefficient=1.0)
         r = metric_de_residual(ident, Couplings(0.0, 0.0, 1.0), bra, ket)
         assert abs(r) == 0.0
+
+    @pytest.mark.parametrize("lam", [0.1, 0.05])
+    def test_wide_packets_paired_on_their_box(self, lam, monkeypatch):
+        # sigma = 4 and 3.5 reach far past [-12, 12]; on the packets' box
+        # the residual equals its value on a much wider square, which it
+        # takes from the support rule kernel_pair uses
+        bra = GaussianPacket(4.0, 0.4, 0.2)
+        ket = GaussianPacket(3.5, -0.3, -0.4)
+        c = Couplings(1j * lam, -1j * lam, 1.0)
+        kern = eta1_bounded(c)
+        on_box = metric_de_residual(kern, c, bra, ket)
+        asked = []
+
+        def wide(bra, ket):
+            asked.append((bra, ket))
+            return -60.0, 60.0
+
+        monkeypatch.setattr(metric, "_infer_support", wide)
+        assert abs(on_box - metric_de_residual(kern, c, bra, ket)) <= 1e-10
+        assert asked == [(bra, ket)]
+
+    def test_plain_callable_rejected(self):
+        bra = GaussianPacket(1.3, 0.4, 0.2)
+        c = Couplings(0.1j, -0.1j, 1.0)
+        with pytest.raises(DomainError, match="GaussianPacket"):
+            metric_de_residual(eta1_bounded(c), c, bra, lambda y: bra(y))

@@ -7,6 +7,7 @@ Tests that need another tolerance patch numerics._PANEL_SPEC, and tests
 that need a fixed box patch kernels._infer_support."""
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from ddscatter import (
     SingularPointError,
     eta1_bounded,
     h_kernel,
+    hermitianize,
     kernel_eval,
     kernel_pair,
     kernels,
@@ -65,16 +67,33 @@ class TestPanelWidth:
     @pytest.mark.parametrize(
         "packet,box,width",
         [
-            (GaussianPacket(0.6, 0.0, 1.5), (-6.9, 9.9), 4 * 0.6),
-            (GaussianPacket(1.0, -3.0, 0.0), (-14.0, 14.0), 4 / 3),
-            (BRA, (-11.0, 11.4), 4 * 0.8),
+            (GaussianPacket(0.6, 0.0, 1.5), (-3.3, 6.3), 4 * 0.6),
+            (GaussianPacket(1.0, -3.0, 0.0), (-8.0, 8.0), 4 / 3),
+            (BRA, (-6.2, 6.6), 4 * 0.8),
         ],
         ids=["k0=0", "sigma=1,k0=-3", "BRA"],
     )
     def test_packet_box_and_width(self, packet, box, width):
-        # the box is x0 +- 14 sigma; the width 4 min(sigma, 1/|k0|)
+        # the box is x0 +- 8 sigma at the 1e-10 panel tolerance; the width
+        # 4 min(sigma, 1/|k0|)
         assert packet.box == pytest.approx(box, abs=1e-14)
         assert packet.panel_width == width
+
+    def test_box_follows_the_tolerance(self, monkeypatch):
+        # B = ceil(sqrt(2 ln(1/tol))) + 1: 9 sigma at 1e-13
+        monkeypatch.setattr(numerics, "_PANEL_SPEC", QuadratureSpec(1e-13, 1e-13))
+        assert BRA.box == pytest.approx((0.2 - 9 * 0.8, 0.2 + 9 * 0.8), abs=1e-14)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(packets)
+    def test_tail_outside_the_box(self, packet):
+        # the mass of |psi| outside x0 +- B sigma is
+        # pi^-1/4 sqrt(2 pi sigma) erfc(B / sqrt 2), below the tolerance
+        lo, hi = packet.box
+        b = (hi - packet.x0) / packet.sigma
+        assert packet.x0 - lo == pytest.approx(hi - packet.x0, rel=1e-12)
+        tail = math.pi ** -0.25 * math.sqrt(2 * math.pi * packet.sigma) * math.erfc(b / math.sqrt(2))
+        assert tail <= numerics._PANEL_SPEC.abs_tol
 
     def test_smaller_packet_width(self):
         # eta1_bounded has no decay length: the narrower packet sets it
@@ -119,6 +138,30 @@ class TestPanelCost:
         kernel_pair(build(C), BRA, KET)
         assert levels == {"integrate_panels": [0, 1], "_pair_plane": [0, 1]}
 
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(packets, packets)
+    def test_line_pairings_stop_at_first_halving(self, bra, ket):
+        # line panels start at the scale of the two packets' product, so
+        # every line of x_kernel and of h_kernel's windows meets the spec
+        # at its first halving (hypothesis rejects monkeypatch)
+        lines = [t for t in x_kernel(C).terms if t.dirac_factors]
+        lines += [t for t in h_kernel(C).terms if len(t.dirac_factors) == 1]
+        levels = _trace_levels(
+            lambda: kernel_pair(DistributionalKernel(terms=tuple(lines)), bra, ket)
+        )
+        assert len(levels) == 5 and all(seen == [0, 1] for seen in levels)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(packets)
+    def test_kinetic_integral_stops_at_first_halving(self, packet):
+        # |psi'|^2 is sigma/sqrt2 wide with no phase: panels 4 sigma/sqrt2
+        # wide already meet the spec, and the value is k0^2 + 1/(2 sigma^2)
+        kinetic = []
+        levels = _trace_levels(lambda: kinetic.append(hermitianize._kinetic(packet)))
+        assert levels == [[0, 1]]
+        exact = packet.k0**2 + 0.5 / packet.sigma**2
+        assert abs(kinetic[0] - exact) <= 1e-10 * max(1.0, exact)
+
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(st.sampled_from([eta1_bounded, x_kernel]), packets, packets)
     def test_agrees_with_a_tighter_spec(self, build, bra, ket):
@@ -133,6 +176,27 @@ class TestPanelCost:
             with mock.patch.object(numerics, "_PANEL_SPEC", tight):
                 tight_value = kernel_pair(kern, bra, ket)
         assert abs(value - tight_value) <= 1e-10 * max(1.0, abs(value))
+
+
+def _trace_levels(call):
+    """The levels of each numerics._converge call (the line rule's) that
+    call() makes, one list per integral."""
+    levels = []
+    converge = numerics._converge
+
+    def counted(rule, base_panels):
+        seen = []
+        levels.append(seen)
+
+        def traced(level):
+            seen.append(level)
+            return rule(level)
+
+        return converge(traced, base_panels)
+
+    with mock.patch.object(numerics, "_converge", counted):
+        call()
+    return levels
 
 
 class TestPanelBudget:
