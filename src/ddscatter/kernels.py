@@ -10,11 +10,14 @@ where the primitives are constants, signs, step functions, Dirac deltas,
 symbolic lets Dirac factors be integrated out exactly when pairing with
 wave functions, instead of sampling distributions on a grid.
 
-Every pointwise value goes through one array evaluator (_TermArrays).
-Pairings integrate Dirac factors out exactly and integrate what remains
-with composite Gauss-Legendre panels (the numerics panel rule) on the
-cells cut out by the factors' kink lines, where the integrands (smooth
-wave functions times exp(-rate |u|), |u|, signs and steps) are smooth.
+Every value goes through one evaluator (_TermArrays) and its one factor
+table.  Pairings integrate Dirac factors out exactly and integrate what
+remains with composite Gauss-Legendre panels (the numerics panel rule)
+piece by piece: on the cells and line segments cut out by the factors'
+kink lines, where the integrands (smooth wave functions times
+exp(-rate |u|), |u|, signs and steps) are smooth.  On a piece each
+factor's argument keeps one sign, so signs and steps are evaluated once
+per piece, and a piece on which the terms cancel identically is skipped.
 They pair GaussianPackets, which own the box that bounds every packet
 integral: x0 +- B sigma, with B set by the panel tolerance (8 at 1e-10).
 Plane panels start at the narrower packet's scale, line panels at the
@@ -25,6 +28,7 @@ Conventions: theta(0) = 1/2, sign(0) = 0.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -127,18 +131,28 @@ def _require_packets(*psis):
         raise DomainError("packet arguments must be GaussianPackets")
 
 
-def _primitive_values(kind, u, rate):
-    """kind(u) elementwise, with the decay rate for exp_abs."""
+# kinds that are constant where their argument keeps one sign; the rest
+# (linear, abs, exp_abs) vary with the point
+_PIECE_CONSTANT = ("const", "sign", "heaviside")
+
+
+def _factor_values(kind, u, s, rate):
+    """kind(u), given s = sign(u) and the decay rate for exp_abs.
+
+    At points s is sign(u), elementwise.  On a piece, where no kink line
+    passes, s is the one sign u keeps there: const, sign and heaviside
+    are then constants that do not read u, |u| is s u and exp(-rate |u|)
+    is exp(-rate s u)."""
     if kind == "const":
-        return np.ones_like(np.asarray(u, dtype=float))
+        return 1.0
     if kind == "sign":
-        return np.sign(u)
+        return s
     if kind == "heaviside":
-        return 0.5 * (np.sign(u) + 1.0)
+        return 0.5 * (s + 1.0)
     if kind == "exp_abs":
-        return np.exp(-rate * np.abs(u))
+        return np.exp(-rate * (s * u))
     if kind == "abs":
-        return np.abs(u)
+        return s * u
     if kind == "linear":
         return u
     raise SingularPointError("Dirac factor has no pointwise value")
@@ -256,11 +270,12 @@ class DistributionalKernel:
 class _TermArrays:
     """Regular factors of a list of terms, compiled to arrays once.
 
-    Each distinct factor is one row of kind code, linear-form coefficients
+    Each distinct factor is one row of kind, linear-form coefficients
     (cx, cy), shift and rate.  A call evaluates every row at all points in
     one broadcast, then forms each term as its coefficient times its rows
     in factor order and adds the terms one by one, the order the symbolic
-    definition spells out.
+    definition spells out.  piece() evaluates the same terms on a piece
+    (a cell or segment no kink line crosses) from one sign per row.
     """
 
     def __init__(self, terms):
@@ -274,28 +289,30 @@ class _TermArrays:
             ))
         self.coefficients = np.array(coefficients, dtype=complex)
         self.term_rows = tuple(term_rows)
-        codes = np.array([_KINDS.index(kind) for kind, _, _, _ in rows], dtype=int)
+        self.kinds = tuple(kind for kind, _, _, _ in rows)
         forms = np.array([_ARG_COEFFS[arg] for _, arg, _, _ in rows], dtype=float).reshape(-1, 2)
         self.cx, self.cy = forms[:, :1], forms[:, 1:]
         self.shift = np.array([shift for _, _, shift, _ in rows], dtype=float)[:, None]
         self.rate = np.array([rate for _, _, _, rate in rows], dtype=float)[:, None]
         self.kind_rows = tuple(
-            (kind, np.flatnonzero(codes == code))
-            for code, kind in enumerate(_KINDS)
-            if np.any(codes == code)
+            (kind, [r for r, k in enumerate(self.kinds) if k == kind])
+            for kind in _KINDS
+            if kind in self.kinds
         )
         # kink lines cx*x + cy*y + shift = 0, each listed once
         self.lines = tuple(sorted({
             (*_ARG_COEFFS[arg], shift) for kind, arg, shift, _ in rows if kind in _KINKED
         }))
+        self._pieces = {}
 
     def __call__(self, x, y):
         """Sum of the terms at the points (x, y), broadcast together."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         u = self.cx * x.ravel() + self.cy * y.ravel() + self.shift
+        s = np.sign(u)
         values = np.empty_like(u)
         for kind, rows in self.kind_rows:
-            values[rows] = _primitive_values(kind, u[rows], self.rate[rows])
+            values[rows] = _factor_values(kind, u[rows], s[rows], self.rate[rows])
         total = np.zeros(u.shape[1], dtype=complex)
         for coefficient, rows in zip(self.coefficients, self.term_rows):
             v = coefficient
@@ -303,6 +320,65 @@ class _TermArrays:
                 v = v * values[r]
             total = total + v
         return total.reshape(x.shape)
+
+    def signs(self, x, y):
+        """Sign of each row's argument at the point (x, y)."""
+        return np.sign(self.cx[:, 0] * x + self.cy[:, 0] * y + self.shift[:, 0])
+
+    def piece(self, signs):
+        """Evaluator of the terms on a piece where row r's argument keeps
+        the sign signs[r], or None where they cancel identically.
+
+        Each term's constant factors (const, sign, heaviside) fold into its
+        coefficient, a product by +-1, 0, 1/2 or 1 and so exact; a term
+        that folds to zero is dropped.  The evaluator takes points (x, y),
+        broadcast together, and returns the kernel_eval values there, bit
+        for bit, while they lie on the piece: each term is its folded
+        coefficient times its varying rows in factor order, added in term
+        order.  The terms cancel identically when, grouped by their
+        varying rows, every group's folded coefficients sum to exactly 0.
+        """
+        key = tuple(signs)
+        if key not in self._pieces:
+            self._pieces[key] = self._fold(signs)
+        return self._pieces[key]
+
+    def _fold(self, signs):
+        terms, groups = [], {}
+        for coefficient, rows in zip(self.coefficients, self.term_rows):
+            scalar, varying = coefficient, []
+            for r in rows:
+                if self.kinds[r] in _PIECE_CONSTANT:
+                    scalar = scalar * _factor_values(self.kinds[r], None, signs[r], None)
+                else:
+                    varying.append(r)
+            group = tuple(sorted(varying))
+            groups[group] = groups.get(group, 0.0) + scalar
+            if scalar != 0:
+                terms.append((scalar, varying))
+        if all(total == 0 for total in groups.values()):
+            return None
+        rows = sorted({r for _, varying in terms for r in varying})
+        factors = [
+            (self.kinds[r], self.cx[r, 0], self.cy[r, 0], self.shift[r, 0], signs[r], self.rate[r, 0])
+            for r in rows
+        ]
+        terms = [(scalar, [rows.index(r) for r in varying]) for scalar, varying in terms]
+
+        def evaluate(x, y):
+            values = [
+                _factor_values(kind, cx * x + cy * y + shift, s, rate)
+                for kind, cx, cy, shift, s, rate in factors
+            ]
+            total = 0.0
+            for scalar, positions in terms:
+                v = scalar
+                for i in positions:
+                    v = v * values[i]
+                total = total + v
+            return total
+
+        return evaluate
 
 
 _SUPPORT_TOL = 1e-12
@@ -402,10 +478,12 @@ def kernel_pair(kern: DistributionalKernel, bra, ket):
 
     Dirac factors are integrated out analytically (one dimension removed
     per Dirac, with the proper Jacobian); what remains is integrated by
-    composite Gauss-Legendre panels on the smooth cells between the
-    factors' kink lines, over the union of the packets' boxes and
-    [-2, 2], halving the panels until two widths agree to the numerics
-    panel tolerance.
+    composite Gauss-Legendre panels on the smooth pieces (cells, or line
+    segments) between the factors' kink lines, over the union of the
+    packets' boxes and [-2, 2], halving the panels until two widths agree
+    to the numerics panel tolerance.  The factors constant on a piece
+    (signs and steps) are evaluated once per piece, and the pieces on
+    which the terms cancel identically are skipped.
     """
     _require_packets(bra, ket)
     if kern.second_derivative_flag or kern.momentum_flag:
@@ -458,7 +536,9 @@ def _pair_line(argument, shift, arrays, products, lo, hi, h):
     The line is parametrized by x when it is horizontal and by y
     otherwise; the parameter and the other coordinate both stay in the
     support, and the kink lines of the regular factors cut it into
-    smooth segments.
+    segments.  Each segment is a piece: every factor's sign is read once,
+    at its middle, and a segment on which the terms cancel identically
+    is skipped (its panels still count against the panel budget).
     """
     cx, cy = _ARG_COEFFS[argument]
     if cx == 0:  # y = -shift/cy: parameter x
@@ -481,10 +561,19 @@ def _pair_line(argument, shift, arrays, products, lo, hi, h):
         if slope != 0:
             cuts.add(-(lx * px + ly * py + ls) / slope)
     cuts = sorted(c for c in cuts if t0 <= c <= t1)
+    # each row's argument along the line is slope t + offset; a factor on
+    # the line itself has slope 0 and offset exactly 0
+    slope = arrays.cx[:, 0] * dx + arrays.cy[:, 0] * dy
+    offset = arrays.cx[:, 0] * px + arrays.cy[:, 0] * py + arrays.shift[:, 0]
+    pieces = [arrays.piece(np.sign(slope * (0.5 * (a + b)) + offset)) for a, b in zip(cuts, cuts[1:])]
 
     def integrand(t):
+        # integrate_panels passes one segment's nodes per call
+        piece = pieces[bisect.bisect(cuts, t[0]) - 1]
+        if piece is None:
+            return np.zeros(t.shape, dtype=complex)
         x, y = px + dx * t, py + dy * t
-        return arrays(x, y) * _weight(products, x, y)
+        return piece(x, y) * _weight(products, x, y)
 
     return jac * integrate_panels(integrand, cuts, h)
 
@@ -523,16 +612,30 @@ def _plane_cells(lines, lo, hi, h):
 
 def _pair_plane(arrays, products, lo, hi, h):
     """Pairing of the Dirac-free terms: tensor Gauss-Legendre on each
-    cell, y mapped linearly between the cell's bounding lines."""
+    cell, y mapped linearly between the cell's bounding lines.  Each cell
+    is a piece: every factor's sign is read once, at its centre, and a
+    cell on which the terms cancel identically is skipped (its panels
+    still count against the panel budget)."""
     panels = _plane_cells(arrays.lines, lo, hi, h)
+    columns = []
+    for xa, xb, lower, upper, counts in panels:
+        xm = 0.5 * (xa + xb)
+        ym = 0.5 * ((lower[:, 0] + upper[:, 0]) * xm + lower[:, 1] + upper[:, 1])
+        pieces = [arrays.piece(arrays.signs(xm, y)) for y in ym]
+        live = [i for i, piece in enumerate(pieces) if piece is not None]
+        if live:
+            columns.append((xa, xb, lower[live], upper[live],
+                            [counts[i] for i in live], [pieces[i] for i in live]))
 
     def rule(level):
         total = 0.0 + 0.0j
-        for xa, xb, lower, upper, counts in panels:
+        for xa, xb, lower, upper, counts, pieces in columns:
             tx, wx = _unit_panels(_panel_count(xb - xa, h) << level)
             x, wx = xa + (xb - xa) * tx, (xb - xa) * wx
             parts = [_unit_panels(n << level) for n in counts]
-            cell = np.repeat(np.arange(len(parts)), [len(t) for t, _ in parts])
+            sizes = [len(t) for t, _ in parts]
+            bounds = np.cumsum([0] + sizes)
+            cell = np.repeat(np.arange(len(parts)), sizes)
             t = np.concatenate([t for t, _ in parts])
             wt = np.concatenate([w for _, w in parts])
             m0, b0 = lower[cell, 0], lower[cell, 1]
@@ -542,7 +645,10 @@ def _pair_plane(arrays, products, lo, hi, h):
                 xs = x[s:s + rows, None]
                 span = dm * xs + db
                 y = m0 * xs + b0 + span * t
-                f = arrays(xs, y) * _weight(products, xs, y)
+                k = np.empty(y.shape, dtype=complex)
+                for piece, a, b in zip(pieces, bounds, bounds[1:]):
+                    k[:, a:b] = piece(xs, y[:, a:b])
+                f = k * _weight(products, xs, y)
                 total += np.sum((wx[s:s + rows, None] * span * wt) * f)
         return total
 

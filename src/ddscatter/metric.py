@@ -390,7 +390,10 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
 
     against a smooth bra/ket pair, with derivatives moved onto the test
     functions, paired over the union of the packets' boxes and [-2, 2]
-    (kernel_pair's square) to the numerics panel tolerance.  For
+    (kernel_pair's square) to the numerics panel tolerance, piece by
+    piece as kernel_pair pairs: signs and steps are evaluated once per
+    cell or line segment, and the pieces on which the terms cancel (for
+    eta1_bounded, all but the strip |x + y| < 2a) are skipped.  For
     eta1_bounded the residual is O(z^2): first order cancels identically
     between the kinetic commutator and the potential difference on the
     diagonal.

@@ -202,7 +202,8 @@ def integrate_panels(f, cuts, h):
 
     ``cuts`` are increasing breakpoints; ``f`` is array-callable (a float
     ndarray of nodes in, an ndarray of the same shape out) and smooth
-    between neighbouring cuts.  Each segment is split into panels at
+    between neighbouring cuts; each call passes the nodes of one segment
+    at one level.  Each segment is split into panels at
     most ``h`` wide, and all of them are halved together until two
     widths agree to _PANEL_SPEC.  Past its max_subdivisions panels in
     all the last difference is the error bound: beyond 50 times the

@@ -1,7 +1,8 @@
 """Panel Gauss-Legendre pairing: agreement with the adaptive-quadrature
 oracle and with a tighter panel tolerance, the packets' boxes and panel
-widths, the number of panel levels it takes, error reporting past the
-panel budget, and the kernel dump's agreement with pointwise evaluation.
+widths, the number of panel levels it takes, the pieces it skips and
+their evaluator, error reporting past the panel budget, and the kernel
+dump's agreement with pointwise evaluation.
 
 Tests that need another tolerance patch numerics._PANEL_SPEC, and tests
 that need a fixed box patch kernels._infer_support."""
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddscatter import (
@@ -197,6 +198,94 @@ def _trace_levels(call):
     with mock.patch.object(numerics, "_converge", counted):
         call()
     return levels
+
+
+def _record_nodes(monkeypatch):
+    """The (x, y) node arrays of every kernels._weight call, broadcast."""
+    nodes = []
+    weight = kernels._weight
+
+    def recorded(products, x, y):
+        nodes.append(np.broadcast_arrays(x, y))
+        return weight(products, x, y)
+
+    monkeypatch.setattr(kernels, "_weight", recorded)
+    return nodes
+
+
+class TestPieces:
+    # the pair-kernels benchmark packets, without their per-seed jitter
+    PACKETS = (GaussianPacket(1.1, 0.3, 0.2), GaussianPacket(0.9, -0.2, -0.3))
+
+    def test_window_pairing_skips_the_dead_cells(self, monkeypatch):
+        # eta1's window vanishes outside |x + y| < 2a: about a quarter of
+        # the 50,652 nodes of the whole square remain
+        nodes = _record_nodes(monkeypatch)
+        kernel_pair(eta1_bounded(C), *self.PACKETS)
+        assert sum(x.size for x, _ in nodes) <= 15000
+
+    @pytest.mark.parametrize("build", [eta1_bounded, x_kernel], ids=["eta1_bounded", "x_kernel"])
+    def test_plane_nodes_lie_in_the_window(self, build, monkeypatch):
+        kern = build(C)
+        bra, ket = self.PACKETS
+        lo, hi = kernels._infer_support(bra, ket)
+        h = kernels._panel_width(kern, self.PACKETS, lo, hi)
+        nodes = _record_nodes(monkeypatch)
+        kernels._pair_plane(kern._regular(), (self.PACKETS,), lo, hi, h)
+        assert nodes
+        for x, y in nodes:
+            assert np.all(np.abs(x + y) < 2 * C.a)
+
+    def test_cancelling_terms_evaluate_no_node(self, monkeypatch):
+        step = (KernelPrimitive("sign", "x-y"), KernelPrimitive("heaviside", "x+y", 2.0))
+        kern = DistributionalKernel(terms=(KernelTerm(0.3j, step), KernelTerm(-0.3j, step)))
+        nodes = _record_nodes(monkeypatch)
+        value = kernel_pair(kern, BRA, KET)
+        assert value == 0j and not nodes
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+                st.lists(
+                    st.builds(
+                        KernelPrimitive,
+                        kind=st.sampled_from(["const", "sign", "heaviside", "exp_abs", "abs", "linear"]),
+                        argument=st.sampled_from(["x", "y", "x-y", "x+y"]),
+                        shift=st.sampled_from([-2.0, -1.0, 0.0, 0.5, 2.0]),
+                        rate=st.floats(0.3, 2.0),
+                    ),
+                    min_size=1, max_size=3,
+                ),
+                st.booleans(),
+            ),
+            min_size=1, max_size=3,
+        ),
+        st.floats(-4.0, 4.0),
+        st.floats(-4.0, 4.0),
+    )
+    def test_piece_evaluator_is_kernel_eval(self, terms, x, y):
+        # off every kink line, the evaluator of the piece holding (x, y)
+        # is kernel_eval there, bit for bit; a term drawn with True is
+        # followed by its negation, so some pieces cancel
+        kern = DistributionalKernel(terms=tuple(
+            t
+            for c, fs, cancel in terms
+            for t in ((KernelTerm(c, tuple(fs)), KernelTerm(-c, tuple(fs))) if cancel
+                      else (KernelTerm(c, tuple(fs)),))
+        ))
+        arrays = kern._regular()
+        for cx, cy, shift in arrays.lines:
+            assume(abs(cx * x + cy * y + shift) > 1e-9)
+        want = kernel_eval(kern, x, y)
+        piece = arrays.piece(arrays.signs(x, y))
+        if piece is None:
+            # the terms cancel identically: kernel_eval leaves rounding
+            scale = sum(abs(kernel_eval(DistributionalKernel(terms=(t,)), x, y)) for t in kern.terms)
+            assert abs(want) <= 1e-15 * scale
+        else:
+            assert np.complex128(piece(x, y)).tobytes() == np.complex128(want).tobytes()
 
 
 class TestPanelBudget:

@@ -57,6 +57,30 @@ def test_dirac_free_kernels_match_oracle(coefficient, factors, bra, ket):
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
+@settings(SETTINGS, max_examples=6)
+@given(
+    coefficients,
+    primitives(REGULAR_KINDS),
+    st.sampled_from(["x", "y", "x-y", "x+y"]),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    packets,
+    packets,
+)
+def test_window_kernels_match_oracle(coefficient, factor, argument, s1, s2, bra, ket):
+    # c F theta(v + s1) - c F theta(v + s2) cancels outside the window
+    # between the two steps, so the pairing skips pieces there
+    window = [
+        KernelTerm(sign * coefficient, (factor, KernelPrimitive("heaviside", argument, shift)))
+        for sign, shift in ((1.0, s1), (-1.0, s2))
+    ]
+    kern = DistributionalKernel(terms=tuple(window))
+    with mock.patch.object(kernels, "_infer_support", lambda bra, ket: (-6.0, 6.0)):
+        got = kernel_pair(kern, bra, ket)
+    want = oracle_pair(kern, bra, ket, support=(-6.0, 6.0))
+    assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
 def _mirrorable(factors):
     # a heaviside in x-y has no mirror image within one term, and a term
     # takes at most one Dirac factor per direction
