@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -232,14 +233,17 @@ def _cmd_kernel(args):
     values = regular_part_grid(kern, xs, xs)
     singular = singular_mask(kern, xs, xs)
     coords = [f"{x:.12g}" for x in xs.tolist()]
+    # the csv module's excel dialect, written as one text: comma-separated
+    # fields that need no quoting, \r\n after every row
+    lines = ["x,y,re,im"]
+    for x, row, on_line in zip(coords, values.tolist(), singular.tolist()):
+        lines.extend(
+            f"{x},{y},nan,nan" if s else f"{x},{y},{v.real:.12g},{v.imag:.12g}"
+            for y, v, s in zip(coords, row, on_line)
+        )
+    lines.append("")
     with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "re", "im"])
-        for x, row, on_line in zip(coords, values.tolist(), singular.tolist()):
-            w.writerows(
-                (x, y, "nan", "nan") if s else (x, y, f"{v.real:.12g}", f"{v.imag:.12g}")
-                for y, v, s in zip(coords, row, on_line)
-            )
+        fh.write("\r\n".join(lines))
     _write_sidecar(args.out, vars(args))
     return EXIT_OK
 
@@ -355,9 +359,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built once per process: parse_args leaves
+    no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UnsupportedCouplingError as exc:

@@ -25,6 +25,21 @@ from ddscatter.kernels import DistributionalKernel, KernelTerm
 # flag or status changes it
 FIG4_SHA256 = "46fe0df2f3768f3a0489c34f5233e0371d638650e14cfabdf377a8eb7fd6a818"
 
+# SHA-256 of the README's two kernel dumps (--grid=-3:3:121) and their
+# term lists; any change to a printed value or a term changes them
+README_KERNEL_DUMPS = {
+    "eta1": (
+        ["--which", "eta1", "--im-z", "0.1"],
+        "5471dba602d817572c0a03044367bd1eba628f5880dccb69632517f7322a3de8",
+        "85ee42ace1b7900cfbad6aebb65bbb73db162a769a1acbab21d75f1af1faf9c4",
+    ),
+    "appendixA": (
+        ["--which", "appendixA", "--r-plus", "1", "--r-minus", "0.8", "--gamma", "1.1"],
+        "3bfaa26368fa6a503e8be006c1d0aaa00d0fa35875f3b9e1e25d904bdf1d7189",
+        "88b549be79d1534b3af26fcce0506c4b0a4650cb60143fdc5af21775924c0365",
+    ),
+}
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -111,6 +126,26 @@ class TestScanCommand:
         statuses = [row["status"] for row in read_csv(out)]
         assert statuses[:2] == ["ok", "ok"]
         assert all(st.startswith("error: ContourError") for st in statuses[2:])
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # main keeps one parser per process: a command, another command and a
+    # usage error leave nothing behind that changes the next command
+    out = tmp_path / "kern.csv"
+    kernel = ["kernel", "--which", "X", "--im-z", "0.3", "--grid=-2:2:7", "--out", str(out)]
+    sidecar = Path(str(out) + ".meta.json")
+    runs = []
+    for _ in range(2):
+        assert main(kernel) == 0
+        runs.append((out.read_bytes(), json.loads(sidecar.read_text())))
+        assert main(["energy", "--im-z", "0.2", "--out", str(tmp_path / "energy.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--which", "eta1", "--grid=-3:3", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+    (first, first_meta), (second, second_meta) = runs
+    assert first == second
+    del first_meta["written_at"], second_meta["written_at"]
+    assert first_meta == second_meta
 
 
 NON_FINITE_ARGS = [
@@ -277,6 +312,15 @@ class TestKernelCommand:
         assert rc == 0
         vals = read_csv(out)
         assert any(r["re"] not in ("0", "nan") for r in vals)
+
+    @pytest.mark.parametrize("which", sorted(README_KERNEL_DUMPS))
+    def test_readme_dump_digest(self, tmp_path, which):
+        flags, csv_sha256, terms_sha256 = README_KERNEL_DUMPS[which]
+        out = tmp_path / "kern.csv"
+        assert main(["kernel", *flags, "--grid=-3:3:121", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        terms = Path(str(out) + ".terms.json").read_bytes()
+        assert hashlib.sha256(terms).hexdigest() == terms_sha256
 
     def test_singular_points_nan(self, tmp_path):
         out = tmp_path / "kern.csv"
