@@ -29,6 +29,7 @@ Conventions: theta(0) = 1/2, sign(0) = 0.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -555,16 +556,13 @@ def _pair_line(argument, shift, arrays, products, lo, hi, h):
             t0, t1 = max(t0, ta), min(t1, tb)
     if t1 <= t0:
         return 0.0
-    cuts = {t0, t1}
-    for lx, ly, ls in arrays.lines:
-        slope = lx * dx + ly * dy
-        if slope != 0:
-            cuts.add(-(lx * px + ly * py + ls) / slope)
-    cuts = sorted(c for c in cuts if t0 <= c <= t1)
-    # each row's argument along the line is slope t + offset; a factor on
-    # the line itself has slope 0 and offset exactly 0
+    # each row's argument along the line is slope t + offset: a kinked
+    # row crossing the line cuts it at -offset/slope, and a factor on the
+    # line itself has slope 0 and offset exactly 0
     slope = arrays.cx[:, 0] * dx + arrays.cy[:, 0] * dy
     offset = arrays.cx[:, 0] * px + arrays.cy[:, 0] * py + arrays.shift[:, 0]
+    crossing = [r for r, kind in enumerate(arrays.kinds) if kind in _KINKED and slope[r] != 0]
+    cuts = sorted(c for c in {t0, t1, *(-offset[crossing] / slope[crossing])} if t0 <= c <= t1)
     pieces = [arrays.piece(np.sign(slope * (0.5 * (a + b)) + offset)) for a, b in zip(cuts, cuts[1:])]
 
     def integrand(t):
@@ -617,6 +615,7 @@ def _pair_plane(arrays, products, lo, hi, h):
     cell on which the terms cancel identically is skipped (its panels
     still count against the panel budget)."""
     panels = _plane_cells(arrays.lines, lo, hi, h)
+    unit = functools.cache(_unit_panels)  # cells and columns share node sets
     columns = []
     for xa, xb, lower, upper, counts in panels:
         xm = 0.5 * (xa + xb)
@@ -630,9 +629,9 @@ def _pair_plane(arrays, products, lo, hi, h):
     def rule(level):
         total = 0.0 + 0.0j
         for xa, xb, lower, upper, counts, pieces in columns:
-            tx, wx = _unit_panels(_panel_count(xb - xa, h) << level)
+            tx, wx = unit(_panel_count(xb - xa, h) << level)
             x, wx = xa + (xb - xa) * tx, (xb - xa) * wx
-            parts = [_unit_panels(n << level) for n in counts]
+            parts = [unit(n << level) for n in counts]
             sizes = [len(t) for t, _ in parts]
             bounds = np.cumsum([0] + sizes)
             cell = np.repeat(np.arange(len(parts)), sizes)

@@ -243,6 +243,17 @@ class TestPieces:
         value = kernel_pair(kern, BRA, KET)
         assert value == 0j and not nodes
 
+    @pytest.mark.parametrize("argument,shift", [("x-y", 0.3), ("x+y", -1.7), ("x", 0.7), ("y", -0.4)])
+    def test_factor_on_its_own_dirac_line(self, argument, shift):
+        # on delta(u) a factor of the same u reads u = 0 exactly, as the
+        # conventions say (sign 0, theta 1/2), not the rounding of x and y
+        dirac = KernelPrimitive("dirac", argument, shift)
+        line = kernel_pair(DistributionalKernel(terms=(KernelTerm(1.0, (dirac,)),)), BRA, KET)
+        for kind, want in (("sign", 0.0), ("heaviside", 0.5 * line)):
+            factor = KernelPrimitive(kind, argument, shift)
+            kern = DistributionalKernel(terms=(KernelTerm(1.0, (dirac, factor)),))
+            assert kernel_pair(kern, BRA, KET) == want
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
         st.lists(
