@@ -280,23 +280,21 @@ class _TermArrays:
     """
 
     def __init__(self, terms):
-        rows = {}
-        coefficients, term_rows = [], []
-        for coefficient, factors in terms:
-            coefficients.append(coefficient)
-            term_rows.append(tuple(
-                rows.setdefault((f.kind, f.argument, f.shift, f.rate), len(rows))
-                for f in factors
-            ))
-        self.coefficients = np.array(coefficients, dtype=complex)
-        self.term_rows = tuple(term_rows)
+        terms = [(c, [(f.kind, f.argument, f.shift, f.rate) for f in factors]) for c, factors in terms]
+        # one row per distinct factor, grouped by kind so that each kind's
+        # rows are one slice
+        rows = sorted(dict.fromkeys(key for _, keys in terms for key in keys),
+                      key=lambda key: _KINDS.index(key[0]))
+        index = {key: r for r, key in enumerate(rows)}
+        self.coefficients = np.array([c for c, _ in terms], dtype=complex)
+        self.term_rows = tuple(tuple(index[key] for key in keys) for _, keys in terms)
         self.kinds = tuple(kind for kind, _, _, _ in rows)
         forms = np.array([_ARG_COEFFS[arg] for _, arg, _, _ in rows], dtype=float).reshape(-1, 2)
         self.cx, self.cy = forms[:, :1], forms[:, 1:]
         self.shift = np.array([shift for _, _, shift, _ in rows], dtype=float)[:, None]
         self.rate = np.array([rate for _, _, _, rate in rows], dtype=float)[:, None]
         self.kind_rows = tuple(
-            (kind, [r for r, k in enumerate(self.kinds) if k == kind])
+            (kind, slice(self.kinds.index(kind), self.kinds.index(kind) + self.kinds.count(kind)))
             for kind in _KINDS
             if kind in self.kinds
         )
