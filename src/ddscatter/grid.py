@@ -54,11 +54,8 @@ def gaussian_delta(t, width: float):
 def discretized_hamiltonian(c: Couplings, x):
     """-d^2/dx^2 (three-point stencil) + complex deltas regularized as
     Gaussians of width 0.05."""
-    n = len(x)
-    h = x[1] - x[0]
-    K = (
-        np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -1.0), -1)
-    ) / h**2
+    n, h = len(x), x[1] - x[0]
+    K = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
     v = c.z_plus * gaussian_delta(x - c.a, _H_DELTA_WIDTH) + c.z_minus * gaussian_delta(
         x + c.a, _H_DELTA_WIDTH
     )
@@ -94,39 +91,35 @@ def weak_pseudo_hermiticity_residual(c: Couplings):
     return _weak_norm(R, x)
 
 
-def _residual_operator(c):
-    """Grid x, the discretized H and R = eta H - H^dag eta with the
-    sampled eta."""
+def _operators(c):
+    """The 400-point grid x, the discretized H and the sampled eta."""
     x, _ = uniform_grid()
-    H = discretized_hamiltonian(c, x)
-    eta = sampled_metric(c, x)
-    return x, H, eta @ H - H.conj().T @ eta
+    return x, discretized_hamiltonian(c, x), sampled_metric(c, x)
+
+
+def _residual_operator(c):
+    """Grid x, the discretized H and R = eta H - H^dag eta, formed as
+    P - P^dag with P = eta H."""
+    x, H, eta = _operators(c)
+    P = eta @ H
+    return x, H, P - P.conj().T
 
 
 def _weak_norm(R, x):
     """max |<u|R|v>| over the normalized test packets u, v on the grid x."""
-    worst = 0.0
-    vecs = []
-    for p in _TEST_PACKETS:
-        v = p(x)
-        vecs.append(v / np.linalg.norm(v))
-    for u in vecs:
-        for v in vecs:
-            worst = max(worst, abs(u.conj() @ R @ v))
-    return worst
+    V = np.stack([p(x) for p in _TEST_PACKETS], axis=1)
+    V /= np.linalg.norm(V, axis=0)
+    return np.abs(V.conj().T @ R @ V).max()
 
 
 def rho_hermitization_weak_residual(c: Couplings):
     """Weak anti-Hermitian residual of rho H rho^{-1} with rho the
     principal square root of the sampled metric: O(z^2) realization of
     the similarity transform to the equivalent Hermitian operator."""
-    import scipy.linalg
-
-    x, _ = uniform_grid()
-    H = discretized_hamiltonian(c, x)
-    eta = sampled_metric(c, x)
-    rho = scipy.linalg.sqrtm(eta)
-    h = rho @ H @ np.linalg.inv(rho)
+    x, H, eta = _operators(c)
+    w, W = np.linalg.eigh(eta)  # eta is Hermitian: rho^{+-1} = W w^{+-1/2} W^dag
+    s, Wh = np.sqrt(w), W.conj().T
+    h = (W * s) @ Wh @ H @ (W / s) @ Wh
     return _weak_norm(h - h.conj().T, x)
 
 
@@ -167,7 +160,6 @@ def xp_commutator_weak_residual(c: Couplings):
     x, _ = uniform_grid(_XP_GRID_POINTS)
     Xop = discretized_position(c, x)
     Pop = discretized_momentum(c, x)
-    x0 = np.diag(x.astype(complex))
     p0 = discretized_momentum(Couplings(0.0, 0.0, c.a), x)
-    R = (Xop @ Pop - Pop @ Xop) - (x0 @ p0 - p0 @ x0)
+    R = (Xop @ Pop - Pop @ Xop) - (x[:, None] - x[None, :]) * p0  # [x, p0]_ij
     return _weak_norm(R, x)

@@ -266,6 +266,8 @@ def inm(n: int, m: int, alpha: float):
 
 
 def _quiet_quad(*args, **kwargs):
+    """The I_{n,m} oracle's own QUADPACK call: QAWF's cos/sin weight is not
+    an integrate_1d option.  Error bounds <= 2.7e-13 on verify's INM_POINTS."""
     import warnings
 
     import scipy.integrate

@@ -216,6 +216,9 @@ def smeared_overlap_check(c: Couplings, k0: float, q0: float, width: float):
     and q0, computes the 2x2 matrix of L2 overlaps, and normalizes by the
     free-theory diagonal sqrt(pi)*width.  As width -> 0 the result tends
     to K(c, k0) for k0 = q0 and to 0 for |k0 - q0| >> width.
+    Simpson's rule on one fixed grid, not integrate_panels: at width 0.025
+    the range is 680 wide and oscillates throughout, and 400 panels cannot
+    hold two levels there (QuadratureError with an infinite bound).
     """
     if not (k0 > 3 * width > 0 and q0 > 3 * width > 0):
         raise DomainError("need k0, q0 > 3*width > 0")

@@ -11,9 +11,9 @@ Gauge: the diagonal of Q vanishes in the H0 eigenbasis at every order
 Cost: a diagonal H0 is its own eigenbasis, so no decomposition of it runs
 and the basis changes and commutators with H0 are elementwise,
 [H0, X]_ij = (E_i - E_j) X_ij.  A matrix whose imaginary part is exactly
-zero enters products and eigh as a real array, and each commutator of a
-Hermitian or anti-Hermitian matrix with a Hermitian one comes from one
-product.  Every public function still returns complex arrays.
+zero enters products and eigh as a real array, and every commutator, each
+of a Hermitian or anti-Hermitian matrix with a Hermitian one, comes from
+one product.  Every public function still returns complex arrays.
 """
 
 from __future__ import annotations
@@ -134,10 +134,6 @@ def _real_if_exact(M):
     return M
 
 
-def _commutator(A, B):
-    return A @ B - B @ A
-
-
 def _commutator_hermitian(A, B):
     """[A, B] for Hermitian A and B from one product: BA = (AB)^dag."""
     P = A @ B
@@ -216,16 +212,17 @@ def solve_q1(p: PerturbedOperator) -> np.ndarray:
 def solve_q2(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
     """Second-order generator: [H0, Q2] = R with
 
-        R = -[H1, Q1] - (1/2) [[H0, Q1], Q1].
+        R = -[H1, Q1] - (1/2) [[H0, Q1], Q1] = [Q1, H1_hermitian]
+
+    for q1 = solve_q1(p): its [H0, Q1] = -2 H1_antihermitian cancels the
+    anti-Hermitian part of -[H1, Q1].
 
     Solvable only when diag(R) vanishes in the H0 eigenbasis; a nonzero
     diagonal equals -2i Im(second-order energy shift) and signals
     breakdown of quasi-Hermiticity at second order.
     """
     q1 = _real_if_exact(_require_hermitian(q1, "Q1"))
-    R = _commutator(q1, _real_if_exact(p.h1)) - 0.5 * _commutator_antihermitian(
-        _h0_commutator(p, q1), q1
-    )
+    R = _commutator_hermitian(q1, _real_if_exact(p.h1_hermitian))
     E, V = p._eigenbasis
     R_eig = _to_eig(V, R)
     scale = max(1.0, np.linalg.norm(R_eig))
@@ -274,10 +271,10 @@ def map_observable(o: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     Satisfies O^dag = eta O eta^{-1} to O(z^3) with eta = exp(-Q1-Q2).
     """
     o = _require_hermitian(o, "observable")
-    q1 = np.asarray(q1, dtype=complex)
-    q2 = np.asarray(q2, dtype=complex)
-    c1 = _commutator(o, q1)
-    return o - 0.5 * (c1 + _commutator(o, q2) - 0.25 * _commutator(c1, q1))
+    q1, q2 = np.asarray(q1, dtype=complex), np.asarray(q2, dtype=complex)
+    c1 = _commutator_hermitian(o, q1)  # anti-Hermitian
+    c2 = _commutator_hermitian(o, q2)
+    return o - 0.5 * (c1 + c2 - 0.25 * _commutator_antihermitian(c1, q1))
 
 
 def _expm_pair_hermitian(A):
@@ -346,15 +343,13 @@ def run_instance(payload: dict) -> dict:
     q2 = solve_q2(p, q1)
     h = equivalent_h(p, q1)
     eta = eta_from_q(q1, q2)
-    H = p.total
+    P = eta @ p.total  # eta H - H^dag eta = P - P^dag for Hermitian eta
     hc = conjugated_h(p, QExpansion(q1, q2))
     return {
         "q1": matrix_to_json(q1),
         "q2": matrix_to_json(q2),
         "equivalent_h": matrix_to_json(h),
         "eta": matrix_to_json(eta),
-        "pseudo_hermiticity_residual": float(
-            np.linalg.norm(eta @ H - H.conj().T @ eta)
-        ),
+        "pseudo_hermiticity_residual": float(np.linalg.norm(P - P.conj().T)),
         "conjugated_h_antihermitian_residual": float(np.linalg.norm(hc - hc.conj().T)),
     }

@@ -446,10 +446,19 @@ def check_pt_insensitivity():
     return worst <= 1e-12, f"worst nonlocal shift {worst:.2e}"
 
 
+def _halving_factor(residual):
+    """residual(z_+- = +-0.1i) / residual(+-0.05i), a = 1: 4 if O(z^2), 2 if O(z)."""
+    return residual(Couplings(0.1j, -0.1j, 1.0)) / residual(Couplings(0.05j, -0.05j, 1.0))
+
+
 def check_xp_commutator():
-    r1 = gridmod.xp_commutator_weak_residual(Couplings(0.1j, -0.1j, 1.0))
-    r2 = gridmod.xp_commutator_weak_residual(Couplings(0.05j, -0.05j, 1.0))
-    factor = r1 / r2
+    factor = _halving_factor(gridmod.xp_commutator_weak_residual)
+    return factor >= 3.0, f"halving factor {factor:.2f} (O(z^2) weak residual)"
+
+
+def check_rho_hermitization():
+    # rho H rho^{-1}, rho = sqrt(sampled metric), is Hermitian up to O(z^2) weakly
+    factor = _halving_factor(gridmod.rho_hermitization_weak_residual)
     return factor >= 3.0, f"halving factor {factor:.2f} (O(z^2) weak residual)"
 
 
@@ -488,12 +497,8 @@ def check_perturbation_scalings():
         q1 = pert.solve_q1(p)
         q2 = pert.solve_q2(p, q1)
         h = pert.conjugated_h(p, pert.QExpansion(q1, q2))
-        eta = pert.eta_from_q(q1, q2)
-        H = p.total
-        return (
-            np.linalg.norm(h - h.conj().T),
-            np.linalg.norm(eta @ H - H.conj().T @ eta),
-        )
+        P = pert.eta_from_q(q1, q2) @ p.total  # eta H - H^dag eta = P - P^dag
+        return np.linalg.norm(h - h.conj().T), np.linalg.norm(P - P.conj().T)
 
     fh = fe = np.inf
     rel = 0.0
@@ -575,18 +580,15 @@ def check_singularity_no_window():
 
 
 def check_grid_pseudo_hermiticity_weak():
-    r1 = gridmod.weak_pseudo_hermiticity_residual(Couplings(0.1j, -0.1j, 1.0))
-    r2 = gridmod.weak_pseudo_hermiticity_residual(Couplings(0.05j, -0.05j, 1.0))
-    factor = r1 / r2
+    factor = _halving_factor(gridmod.weak_pseudo_hermiticity_residual)
     return factor >= 3.0, f"halving factor {factor:.2f} (>=3, weak form)"
 
 
 def check_grid_pseudo_hermiticity_frobenius():
     # informational: the Frobenius norm of the sampled-kernel residual is
     # coupling-linear (lattice artifacts), so the factor sits at 2
-    r1 = gridmod.pseudo_hermiticity_residual(Couplings(0.1j, -0.1j, 1.0))
-    r2 = gridmod.pseudo_hermiticity_residual(Couplings(0.05j, -0.05j, 1.0))
-    return True, f"halving factor {r1 / r2:.3f} (reported, non-gating; see README)"
+    factor = _halving_factor(gridmod.pseudo_hermiticity_residual)
+    return True, f"halving factor {factor:.3f} (reported, non-gating; see README)"
 
 
 def check_smeared_overlap():
@@ -652,6 +654,7 @@ CHECKS = {
     "metric.grid_pseudo_hermiticity_frobenius": (FULL, check_grid_pseudo_hermiticity_frobenius),
     "hermitianize.energy_full_grid": (FULL, lambda: check_energy_closed_vs_oracle(full=True)),
     "hermitianize.xp_commutator": (FULL, check_xp_commutator),
+    "hermitianize.rho_hermitization": (FULL, check_rho_hermitization),
     "model.smeared_overlap": (FULL, check_smeared_overlap),
     "spectrum.fig1_symmetry": (FULL, check_fig1_symmetry),
 }

@@ -348,6 +348,35 @@ class TestCost:
         E, V = p.h0_eigh
         assert np.array_equal(E, np.diag(p.h0).real) and np.array_equal(V, np.eye(8))
 
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_q2_and_observable_match_three_product_oracle(self, rotate):
+        # the general commutators solve_q2 and map_observable were first
+        # written with, kept as the oracle for their one-product forms:
+        # R = [Q1, H1] - (1/2)[[H0, Q1], Q1], and [A, B] = AB - BA
+        def comm(A, B):
+            return A @ B - B @ A
+
+        base = solvable_instance(7, 1.0, 62)
+        p = PerturbedOperator(base.h0, base.generators, (1.5e-2, 1e-2j))
+        if rotate:
+            p, _ = rotated(p, 62)
+        q1 = solve_q1(p)
+        R = comm(q1, p.h1) - 0.5 * comm(comm(p.h0, q1), q1)
+        E, V = np.linalg.eigh(p.h0)
+        gaps = E[:, None] - E[None, :]
+        np.fill_diagonal(gaps, np.inf)
+        oracle = V @ ((V.conj().T @ R @ V) / gaps) @ V.conj().T
+        q2 = solve_q2(p, q1)
+        assert np.linalg.norm(q2 - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+        rng = np.random.default_rng(63)
+        C = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        o = (C + C.conj().T) / 2
+        c1 = comm(o, q1)
+        want = o - 0.5 * (c1 + comm(o, q2) - 0.25 * comm(c1, q1))
+        got = map_observable(o, q1, q2)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_json_matches_elementwise_oracle(self):
         # the element-wise [re, im] comprehension the wire format was
         # first written with, kept as the oracle for both directions

@@ -364,17 +364,36 @@ class TestScanRegion:
             assert ca.spectral_singularities == cb.spectral_singularities
 
 
-def test_import_and_scan_leave_scipy_unloaded():
-    # a fresh interpreter: this one has loaded scipy for the oracles
+def _scipy_modules_after(work):
+    """The scipy modules a fresh interpreter has loaded after importing
+    ddscatter and running the statement ``work``: this one has loaded
+    scipy for the oracles."""
     code = (
         "import sys, ddscatter\n"
-        "ddscatter.scan_region(ddscatter.ScanMode('pt_symmetric'), (-0.6, -0.4), (0.0, 0.2), 2)\n"
+        f"{work}\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ddscatter.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_and_scan_leave_scipy_unloaded():
+    work = "ddscatter.scan_region(ddscatter.ScanMode('pt_symmetric'), (-0.6, -0.4), (0.0, 0.2), 2)"
+    assert _scipy_modules_after(work) == "[]"
+
+
+def test_grid_residuals_leave_scipy_unloaded():
+    # the four residuals of the sampled operators are numpy products and eigh
+    work = (
+        "from ddscatter import grid\n"
+        "c = ddscatter.Couplings(0.1j, -0.1j, 1.0)\n"
+        "for f in (grid.pseudo_hermiticity_residual, grid.weak_pseudo_hermiticity_residual,\n"
+        "          grid.xp_commutator_weak_residual, grid.rho_hermitization_weak_residual):\n"
+        "    f(c)"
+    )
+    assert _scipy_modules_after(work) == "[]"
 
 
 class TestScanModes:
