@@ -11,9 +11,12 @@ Gauge: the diagonal of Q vanishes in the H0 eigenbasis at every order
 Cost: a diagonal H0 is its own eigenbasis, so no decomposition of it runs
 and the basis changes and commutators with H0 are elementwise,
 [H0, X]_ij = (E_i - E_j) X_ij.  A matrix whose imaginary part is exactly
-zero enters products and eigh as a real array, and every commutator, each
-of a Hermitian or anti-Hermitian matrix with a Hermitian one, comes from
-one product.  Every public function still returns complex arrays.
+zero is checked, stored, multiplied and decomposed as a real array: H0 and
+the generators are kept real, and H1, its Hermitian and anti-Hermitian
+parts and H0 + H1 are built once per instance, real when exactly real.
+Every commutator, each of a Hermitian or anti-Hermitian matrix with a
+Hermitian one, comes from one product.  Every public function still
+returns complex arrays.
 """
 
 from __future__ import annotations
@@ -50,13 +53,16 @@ _SOLVE_TOL = 1e-8
 
 
 def _require_hermitian(M, name):
-    M = np.asarray(M, dtype=complex)
+    """M as a float or complex array, real when exactly real; checked to
+    be a finite, Hermitian, non-empty square matrix."""
+    M = _real_if_exact(_float_or_complex(M))
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise DomainError(f"{name} must be a non-empty square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    norm = np.linalg.norm(M)
+    # a finite Frobenius norm implies finite entries
+    if not np.isfinite(norm) and not np.isfinite(M).all():
         raise DomainError(f"{name} has non-finite entries")
-    scale = max(1.0, np.linalg.norm(M))
-    if np.linalg.norm(M - M.conj().T) > _HERM_TOL * scale:
+    if np.linalg.norm(M - M.conj().T) > _HERM_TOL * max(1.0, norm):
         raise DomainError(f"{name} must be Hermitian")
     return M
 
@@ -73,6 +79,8 @@ class PerturbedOperator:
         h0 = _require_hermitian(self.h0, "H0")
         object.__setattr__(self, "h0", h0)
         gens = tuple(_require_hermitian(g, f"H_{i+1}") for i, g in enumerate(self.generators))
+        if not gens:
+            raise DomainError("at least one generator required")
         if len(gens) != len(self.couplings):
             raise DomainError("one coupling per generator required")
         for i, g in enumerate(gens):
@@ -91,7 +99,7 @@ class PerturbedOperator:
         h0 = self.h0
         if np.count_nonzero(h0) == np.count_nonzero(h0.diagonal()):
             return h0.diagonal().real.copy(), None
-        return np.linalg.eigh(_real_if_exact(h0))
+        return np.linalg.eigh(h0)
 
     @property
     def h0_eigh(self):
@@ -99,21 +107,24 @@ class PerturbedOperator:
         E, V = self._eigenbasis
         return E, (np.eye(len(E)) if V is None else V)
 
-    @property
+    # H1 and its parts are built once, real when exactly real, and
+    # read-only, since every caller of the instance shares them
+
+    @cached_property
     def h1(self):
-        return sum(z * g for z, g in zip(self.couplings, self.generators))
+        return _frozen(sum(z * g for z, g in zip(self.couplings, self.generators)))
 
-    @property
+    @cached_property
     def h1_hermitian(self):
-        return sum(z.real * g for z, g in zip(self.couplings, self.generators))
+        return _frozen(sum(z.real * g for z, g in zip(self.couplings, self.generators)))
 
-    @property
+    @cached_property
     def h1_antihermitian(self):
-        return sum(1j * z.imag * g for z, g in zip(self.couplings, self.generators))
+        return _frozen(sum(1j * z.imag * g for z, g in zip(self.couplings, self.generators)))
 
-    @property
+    @cached_property
     def total(self):
-        return self.h0 + self.h1
+        return _frozen(self.h0 + self.h1)
 
 
 @dataclass(frozen=True)
@@ -125,12 +136,25 @@ class QExpansion:
     q2: np.ndarray
 
 
+def _float_or_complex(M):
+    """M as a float64 array when its dtype is real, else as complex128."""
+    M = np.asarray(M)
+    return np.asarray(M, dtype=float if M.dtype.kind in "biuf" else complex)
+
+
 def _real_if_exact(M):
     """M, or its real part as a real array when its imaginary part is
     exactly zero: real products and eigh cost a quarter and a third of
     complex ones."""
     if np.iscomplexobj(M) and not M.imag.any():
         return np.ascontiguousarray(M.real)
+    return M
+
+
+def _frozen(M):
+    """_real_if_exact(M), marked read-only; M must be a fresh array."""
+    M = _real_if_exact(M)
+    M.flags.writeable = False
     return M
 
 
@@ -151,7 +175,7 @@ def _h0_commutator(p, X):
     E, V = p._eigenbasis
     if V is None:
         return (E[:, None] - E[None, :]) * X
-    return _commutator_hermitian(_real_if_exact(p.h0), X)
+    return _commutator_hermitian(p.h0, X)
 
 
 def _to_eig(V, M):
@@ -193,7 +217,7 @@ def solve_q1(p: PerturbedOperator) -> np.ndarray:
     exists).
     """
     E, V = p._eigenbasis
-    h1_ah = _real_if_exact(p.h1_antihermitian)
+    h1_ah = p.h1_antihermitian
     A = _to_eig(V, h1_ah)
     scale = max(1.0, np.linalg.norm(A))
     if np.max(np.abs(np.diag(A))) > _DIAG_TOL * scale:
@@ -221,8 +245,8 @@ def solve_q2(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
     diagonal equals -2i Im(second-order energy shift) and signals
     breakdown of quasi-Hermiticity at second order.
     """
-    q1 = _real_if_exact(_require_hermitian(q1, "Q1"))
-    R = _commutator_hermitian(q1, _real_if_exact(p.h1_hermitian))
+    q1 = _require_hermitian(q1, "Q1")
+    R = _commutator_hermitian(q1, p.h1_hermitian)
     E, V = p._eigenbasis
     R_eig = _to_eig(V, R)
     scale = max(1.0, np.linalg.norm(R_eig))
@@ -246,10 +270,8 @@ def equivalent_h(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
 
     exactly Hermitian by construction (the commutator of an anti-Hermitian
     with a Hermitian matrix is P + P^dag with P = H1_antihermitian Q1)."""
-    c = _commutator_antihermitian(
-        _real_if_exact(p.h1_antihermitian), _real_if_exact(np.asarray(q1))
-    )
-    return p.h0 + p.h1_hermitian + 0.25 * c
+    c = _commutator_antihermitian(p.h1_antihermitian, _real_if_exact(np.asarray(q1)))
+    return np.asarray(p.h0 + p.h1_hermitian + 0.25 * c, dtype=complex)
 
 
 def conjugated_h(p: PerturbedOperator, q: QExpansion) -> np.ndarray:
@@ -260,7 +282,7 @@ def conjugated_h(p: PerturbedOperator, q: QExpansion) -> np.ndarray:
     equivalent_h agrees with it to the same order.
     """
     rho, rho_inv = _expm_pair_hermitian(_real_if_exact(-0.5 * (q.q1 + q.q2)))
-    return np.asarray(rho @ _real_if_exact(p.total) @ rho_inv, dtype=complex)
+    return np.asarray(rho @ p.total @ rho_inv, dtype=complex)
 
 
 def map_observable(o: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -297,28 +319,42 @@ def eta_from_q(q1: np.ndarray, q2: np.ndarray = None) -> np.ndarray:
     return np.asarray(eta, dtype=complex)
 
 
-# dense JSON wire format: row-major nested lists of [re, im] pairs
+# dense JSON wire format: a row-major list of n rows, each of n plain
+# numbers (a real matrix) or of n [re, im] pairs (a complex one)
 
 
 def matrix_to_json(M) -> list:
-    M = np.ascontiguousarray(M, dtype=complex)
-    return M.view(float).reshape(M.shape + (2,)).tolist()
+    """Rows of plain numbers when every imaginary part is +0.0 (bit for
+    bit, so a -0.0 survives the round trip as a pair), else [re, im] pairs."""
+    M = _float_or_complex(M)
+    if M.dtype == complex and M.imag.view(np.uint64).any():
+        M = np.ascontiguousarray(M)
+        return M.view(float).reshape(M.shape + (2,)).tolist()
+    return M.real.tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """A float array from rows of plain numbers, a complex one from rows
+    of [re, im] pairs; bit for bit the matrix matrix_to_json wrote."""
     # the nesting and the number types are checked by passes of map and
     # the numbers read by one np.fromiter; np.array on the nested lists
     # is slower than all of them together
     try:
         n = len(rows)
-        pairs = list(chain.from_iterable(rows))
-        values = list(chain.from_iterable(pairs))
-        if (set(map(len, rows)) == {n} and set(map(len, pairs)) == {2}
-                and all(issubclass(t, Real) for t in set(map(type, values)))):
-            return np.fromiter(values, float, count=2 * n * n).view(complex).reshape(n, n)
+        if set(map(len, rows)) == {n}:
+            entries = list(chain.from_iterable(rows))
+            if _all_real(entries):
+                return np.fromiter(entries, float, count=n * n).reshape(n, n)
+            values = list(chain.from_iterable(entries))
+            if set(map(len, entries)) == {2} and _all_real(values):
+                return np.fromiter(values, float, count=2 * n * n).view(complex).reshape(n, n)
     except (TypeError, OverflowError):
         pass
-    raise DomainError("matrix must be n x n [re, im] pairs of real numbers")
+    raise DomainError("matrix must be n x n real numbers or n x n [re, im] pairs of real numbers")
+
+
+def _all_real(values):
+    return all(issubclass(t, Real) for t in set(map(type, values)))
 
 
 def run_instance(payload: dict) -> dict:
@@ -331,7 +367,7 @@ def run_instance(payload: dict) -> dict:
     try:
         h0, generators = payload["h0"], tuple(payload["generators"])
         couplings = tuple(complex(re, im) for re, im in payload["couplings"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(
             'instance must be an object with "h0", "generators" (a list of matrices) '
             f'and "couplings" (a list of [re, im] pairs of real numbers): {exc!r}'

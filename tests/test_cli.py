@@ -387,7 +387,9 @@ class TestVerifyCommand:
         assert json.loads(text) == json.loads(json.dumps(run_instance(payload)))
 
     @pytest.mark.parametrize(
-        "defect", ["nan", "ragged", "no-generators", "short-coupling", "list", "not-json"]
+        "defect",
+        ["nan", "ragged", "no-generators", "empty-generators", "short-coupling", "bigint",
+         "list", "not-json"],
     )
     def test_bad_perturbation_input_is_usage_error(self, tmp_path, capsys, defect):
         h0 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -399,6 +401,10 @@ class TestVerifyCommand:
         payload = {"h0": h0, "generators": [gen], "couplings": [[0.0, 0.01]]}
         if defect == "no-generators":
             del payload["generators"]
+        elif defect == "empty-generators":
+            payload["generators"], payload["couplings"] = [], []
+        elif defect == "bigint":
+            payload["couplings"] = [[10**400, 0]]  # no float holds it
         elif defect == "short-coupling":
             payload["couplings"] = [[0.1]]
         elif defect == "list":

@@ -4,6 +4,8 @@ The cubic scaling of the conjugated-H and eta residuals and the
 first-order and two-forms identities are registry checks
 (``perturbation.*`` in ``ddscatter.verify.CHECKS``)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,23 @@ class TestBasisAndArithmetic:
             dev = np.linalg.norm(got - U @ w @ U.conj().T)
             assert dev <= 1e-10 * max(np.linalg.norm(w), floor)
 
+    def test_real_instance_stays_real(self):
+        # S is real, and T is imaginary under an imaginary coupling, so H0,
+        # S and every part of H1 are exactly real
+        p = solvable_instance(6, 1e-2, 39)
+        S, T = p.generators
+        assert p.h0.dtype == S.dtype == float and T.dtype == complex
+        parts = (p.h1, p.h1_hermitian, p.h1_antihermitian, p.total)
+        assert all(M.dtype == float and not M.flags.writeable for M in parts)
+        assert p.h1_antihermitian is p.h1_antihermitian
+        assert p.h0.flags.writeable and S.flags.writeable  # the caller's arrays
+        q1 = solve_q1(p)
+        H0, Hh, A = (np.asarray(M, complex) for M in (p.h0, p.h1_hermitian, p.h1_antihermitian))
+        want = H0 + Hh + 0.25 * (A @ q1 - q1 @ A)
+        h = equivalent_h(p, q1)
+        assert h.dtype == complex
+        assert np.linalg.norm(h - want) <= 1e-14 * np.linalg.norm(want)
+
     def test_outputs_are_complex(self):
         p = solvable_instance(5, 1e-2, 38)
         q1, q2, h, eta = solve_all(p)
@@ -304,17 +323,53 @@ class TestBoundary:
             [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],  # ragged row
             [[[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
             [[[1.0, 0.0], [0.0, 0.0]]],  # 1 x 2
-            [[1.0, 0.0], [0.0, 1.0]],  # no [re, im] pairs
+            [[1.0, [0.0, 0.0]], [[0.0, 0.0], 1.0]],  # plain numbers and pairs mixed
             [[[1.0, "x"], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
             [[[1.0, "1.5"], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],  # a numeric string
             [["12", "34"], ["56", "78"]],  # pairs as two-character strings
             [[[10**400, 0.0]]],  # an integer no float can hold
             [],
+            [[10**400]],  # the same integer as a plain number
+            [["1.5", 0.0], [0.0, 1.0]],  # a numeric string as a plain number
         ],
     )
     def test_matrix_from_json_rejects_bad_rows(self, rows):
         with pytest.raises(DomainError, match=r"\[re, im\] pairs"):
             matrix_from_json(rows)
+
+    def test_matrix_from_json_reads_plain_rows(self):
+        M = matrix_from_json([[1.0, 0.0], [0.0, 1.0]])
+        assert M.dtype == float and np.array_equal(M, np.eye(2))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 6),
+        imag=st.sampled_from(["none", "+0.0", "one -0.0", "drawn"]),
+        data=st.data(),
+    )
+    def test_json_round_trip_is_bit_exact(self, n, imag, data):
+        # real matrices, complex ones whose imaginary parts are all +0.0,
+        # and complex ones holding a -0.0 or drawn imaginary parts
+        values = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]) | st.floats(
+            allow_nan=False, allow_infinity=False
+        )
+
+        def draw():
+            return np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n)))
+
+        M = draw().reshape(n, n)
+        if imag != "none":
+            im = draw() if imag == "drawn" else np.zeros(n * n)
+            if imag == "one -0.0":
+                im[data.draw(st.integers(0, n * n - 1))] = -0.0
+            M = M.astype(complex)  # keeps each -0.0, where M + 0j would not
+            M.imag = im.reshape(n, n)
+        rows = json.loads(json.dumps(matrix_to_json(M)))
+        plain = imag == "none" or not (np.signbit(M.imag).any() or M.imag.any())
+        assert all(isinstance(v, float) == plain for row in rows for v in row)
+        back = matrix_from_json(rows)
+        assert back.dtype == (float if plain else complex)
+        assert np.array_equal(np.asarray(back, M.dtype).view(np.uint64), M.view(np.uint64))
 
 
 class TestCost:
