@@ -261,6 +261,8 @@ def _cmd_inm(args):
 
 def _cmd_verify(args):
     if args.perturbation:
+        if args.json is not None or args.level is not None:
+            raise DomainError("--perturbation writes FILE.out.json and takes no --json or --level")
         from .perturbation import run_instance
 
         with open(args.perturbation) as fh:
@@ -278,11 +280,11 @@ def _cmd_verify(args):
 
     from .verify import run_verify
 
-    ok, report = run_verify(args.level)
+    ok, report = run_verify(args.level or "fast")
     for check in report["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"{mark}  {check['name']:45s} ({check['seconds']:6.2f}s)  {check['detail']}")
-    print(f"{'ALL PASSED' if ok else 'FAILURES PRESENT'} at level {args.level}")
+    print(f"{'ALL PASSED' if ok else 'FAILURES PRESENT'} at level {report['level']}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -349,7 +351,7 @@ def build_parser():
     im.set_defaults(fn=_cmd_inm)
 
     ve = sub.add_parser("verify", help="run the named validation suites")
-    ve.add_argument("--level", choices=("fast", "full"), default="fast")
+    ve.add_argument("--level", choices=("fast", "full"), default=None, help="default fast")
     ve.add_argument("--json", default=None)
     ve.add_argument("--perturbation", default=None, metavar="FILE",
                     help="solve a JSON matrix instance (dense row-major [re,im] arrays) "

@@ -31,7 +31,7 @@ from .kernels import (
     _require_packets,
 )
 from .model import Couplings, theta
-from .numerics import _coarsest_width, integrate_panels
+from .numerics import integrate_panels
 
 __all__ = [
     "GaussianPacket",
@@ -189,19 +189,13 @@ def h_delta_coefficients(c: Couplings, psi: GaussianPacket):
     )
 
 
-def _panel_integral(f, width, lo, hi):
-    """int_lo^hi f by numerics.integrate_panels, from panels `width` wide
-    (wider only where the budget could not hold two levels)."""
-    return integrate_panels(f, (lo, hi), _coarsest_width(width, lo, hi))
-
-
 def _windows(psi, a):
     """int psi over (-a, 3a) and over (-3a, a), the windows of h's
     nonlocal part, from the coarsest panel width kernel_pair uses for
     the packet psi."""
     return (
-        _panel_integral(psi, psi.panel_width, -a, 3 * a),
-        _panel_integral(psi, psi.panel_width, -3 * a, a),
+        integrate_panels(psi, (-a, 3 * a), psi.panel_width),
+        integrate_panels(psi, (-3 * a, a), psi.panel_width),
     )
 
 
@@ -209,8 +203,8 @@ def _kinetic(psi):
     """int |psi'|^2 over psi.box.  The integrand, |psi|^2 ((x - x0)^2/sigma^4
     + k0^2), has width sigma/sqrt2 and no phase, so its panels start
     4 sigma/sqrt2 wide whatever k0 is."""
-    return _panel_integral(
-        lambda x: np.abs(psi.derivative(x)) ** 2, 4.0 * psi.sigma / _SQRT2, *psi.box
+    return integrate_panels(
+        lambda x: np.abs(psi.derivative(x)) ** 2, psi.box, 4.0 * psi.sigma / _SQRT2
     ).real
 
 

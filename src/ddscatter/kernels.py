@@ -29,7 +29,6 @@ Conventions: theta(0) = 1/2, sign(0) = 0.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -490,14 +489,17 @@ def kernel_pair(kern: DistributionalKernel, bra, ket):
             "kernel_pair handles multiplication-type kernels only; "
             "derivative parts are applied by the Hamiltonian module"
         )
+    return _pair(kern, ((bra, ket),), bra, ket)
+
+
+def _pair(kern, products, bra, ket):
+    """Sum over (f, g) in products of <f | K | g>, where f and g are the
+    GaussianPackets bra and ket or their derivatives: the pair's square
+    [lo, hi]^2 and coarsest panel widths (h on the plane, h_line on Dirac
+    lines) serve every product."""
     lo, hi = _infer_support(bra, ket)
     h = _panel_width(kern, (bra, ket), lo, hi)
-    return _pair(kern, ((bra, ket),), lo, hi, h, _line_width(kern, bra, ket, lo, hi))
-
-
-def _pair(kern, products, lo, hi, h, h_line):
-    """Sum over (bra, ket) in products of <bra | K | ket> on [lo, hi]^2,
-    with coarsest panel width h on the plane and h_line on Dirac lines."""
+    h_line = _line_width(kern, bra, ket, lo, hi)
     total = 0.0 + 0.0j
     # single-Dirac terms grouped by their line; the identity is delta(x-y)
     lines = {}
@@ -613,7 +615,6 @@ def _pair_plane(arrays, products, lo, hi, h):
     cell on which the terms cancel identically is skipped (its panels
     still count against the panel budget)."""
     panels = _plane_cells(arrays.lines, lo, hi, h)
-    unit = functools.cache(_unit_panels)  # cells and columns share node sets
     columns = []
     for xa, xb, lower, upper, counts in panels:
         xm = 0.5 * (xa + xb)
@@ -627,9 +628,9 @@ def _pair_plane(arrays, products, lo, hi, h):
     def rule(level):
         total = 0.0 + 0.0j
         for xa, xb, lower, upper, counts, pieces in columns:
-            tx, wx = unit(_panel_count(xb - xa, h) << level)
+            tx, wx = _unit_panels(_panel_count(xb - xa, h) << level)
             x, wx = xa + (xb - xa) * tx, (xb - xa) * wx
-            parts = [unit(n << level) for n in counts]
+            parts = [_unit_panels(n << level) for n in counts]
             sizes = [len(t) for t, _ in parts]
             bounds = np.cumsum([0] + sizes)
             cell = np.repeat(np.arange(len(parts)), sizes)

@@ -28,10 +28,7 @@ from .kernels import (
     DistributionalKernel,
     KernelPrimitive,
     KernelTerm,
-    _infer_support,
-    _line_width,
     _pair,
-    _panel_width,
     _require_packets,
     hermitian_completion,
 )
@@ -391,11 +388,11 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
         (-d^2/dx^2 + d^2/dy^2 + v*(x) - v(y)) eta(x, y) = 0
 
     against a smooth bra/ket pair, with derivatives moved onto the test
-    functions, paired over the union of the packets' boxes and [-2, 2]
-    (kernel_pair's square) to the numerics panel tolerance, piece by
-    piece as kernel_pair pairs: signs and steps are evaluated once per
-    cell or line segment, and the pieces on which the terms cancel (for
-    eta1_bounded, all but the strip |x + y| < 2a) are skipped.  For
+    functions: two pairings (kinetic and potential) by kernel_pair's
+    rule, each on the packets' square and panel widths, to the numerics
+    panel tolerance; signs and steps are evaluated once per cell or line
+    segment, and the pieces on which the terms cancel (for eta1_bounded,
+    all but the strip |x + y| < 2a) are skipped.  For
     eta1_bounded the residual is O(z^2): first order cancels identically
     between the kinetic commutator and the potential difference on the
     diagonal.
@@ -404,7 +401,6 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
     their boxes, second derivatives and panel widths are used.
     """
     _require_packets(test_bra, test_ket)
-    lo, hi = _infer_support(test_bra, test_ket)
     a = c.a
     zp, zm = c.z_plus, c.z_minus
 
@@ -420,8 +416,6 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
     reg_terms = tuple(t for t in kern.terms if not t.dirac_factors)
     if not reg_terms:
         return total
-    h = _panel_width(kern, (test_bra, test_ket), lo, hi)
-    h_line = _line_width(kern, test_bra, test_ket, lo, hi)
 
     # kinetic action moved to the test functions: pairings against the
     # second derivatives
@@ -429,7 +423,7 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
         (test_bra, test_ket.second_derivative),
         (test_bra.second_derivative, lambda y: -test_ket(y)),
     )
-    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, lo, hi, h, h_line)
+    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, test_bra, test_ket)
 
     # potential terms applied to the regular part: the line terms
     # conj(z) delta(x - pos) K(x, y) - z K(x, y) delta(y - pos)
@@ -440,5 +434,5 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
             potential.append(KernelTerm(np.conj(z) * t.coefficient, (dirac_x,) + t.factors))
             potential.append(KernelTerm(-z * t.coefficient, (dirac_y,) + t.factors))
     potential_kern = DistributionalKernel(terms=tuple(potential))
-    total += _pair(potential_kern, ((test_bra, test_ket),), lo, hi, h, h_line)
+    total += _pair(potential_kern, ((test_bra, test_ket),), test_bra, test_ket)
     return total

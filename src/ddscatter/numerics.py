@@ -14,6 +14,7 @@ the same shape, and they batch their evaluation points into few calls.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,13 +149,14 @@ def _panel_count(length, h):
     return max(1, int(np.ceil(length / h)))
 
 
+@functools.lru_cache(maxsize=256)
 def _unit_panels(count):
-    """Gauss-Legendre nodes and weights of `count` equal panels on [0, 1]."""
-    left = np.arange(count)[:, None] / count
-    t = (left + (_GL_NODES + 1.0) / (2 * count)).ravel()
-    w = np.empty((count, _GL_WEIGHTS.size))
-    w[:] = _GL_WEIGHTS / (2 * count)
-    return t, w.ravel()
+    """Gauss-Legendre nodes and weights of `count` equal panels on [0, 1],
+    built once per count and shared by every caller, so read-only."""
+    t = (np.arange(count)[:, None] / count + (_GL_NODES + 1.0) / (2 * count)).ravel()
+    w = np.tile(_GL_WEIGHTS / (2 * count), count)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 # the panel rule's one tolerance and budget; _converge and _coarsest_width
@@ -203,13 +205,16 @@ def integrate_panels(f, cuts, h):
     ``cuts`` are increasing breakpoints; ``f`` is array-callable (a float
     ndarray of nodes in, an ndarray of the same shape out) and smooth
     between neighbouring cuts; each call passes the nodes of one segment
-    at one level.  Each segment is split into panels at
-    most ``h`` wide, and all of them are halved together until two
-    widths agree to _PANEL_SPEC.  Past its max_subdivisions panels in
-    all the last difference is the error bound: beyond 50 times the
-    tolerance QuadratureError carries the estimate and that bound
-    (infinite if only one level fit).  Returns a complex.
+    at one level.  Each segment is split into panels at most
+    _coarsest_width(h, cuts[0], cuts[-1]) wide: ``h``, the integrand's
+    shortest length scale, widened only where the panel budget needs it.
+    All of them are halved together until two widths agree to
+    _PANEL_SPEC.  Past its max_subdivisions panels in all the last
+    difference is the error bound: beyond 50 times the tolerance
+    QuadratureError carries the estimate and that bound (infinite if
+    only one level fit).  Returns a complex.
     """
+    h = _coarsest_width(h, cuts[0], cuts[-1])
     segments = [(a, b - a, _panel_count(b - a, h)) for a, b in zip(cuts[:-1], cuts[1:])]
 
     def rule(level):
@@ -314,8 +319,9 @@ def count_zeros(f, rect: ComplexRect, max_step: float = None):
     winding).  It is also raised, before f is called, when m would
     exceed 2**16.
     """
-    corners = np.array(rect.corners)
-    ends = np.roll(corners, -1)
+    # the corners in order, the first repeated: edge i runs from [i] to [i + 1]
+    corners = np.array(rect.corners + rect.corners[:1])
+    starts, ends = corners[:-1], corners[1:]
     # the initial sampling guards against phase aliasing on long edges,
     # bisection resolves the rest
     m = _EDGE_SAMPLES
@@ -325,10 +331,9 @@ def count_zeros(f, rect: ComplexRect, max_step: float = None):
         if m > _MAX_EDGE_SAMPLES:
             raise ContourError(f"rectangle too wide: {m} samples per edge exceed 2**16")
     ts = np.arange(m) / m
-    za = (corners[:, None] + (ends - corners)[:, None] * ts).ravel()
-    zb = np.roll(za, -1)
+    za = (starts[:, None] + (ends - starts)[:, None] * ts).ravel()
     fa = _on_contour(f, za)
-    fb = np.roll(fa, -1)
+    zb, fb = np.concatenate((za[1:], za[:1])), np.concatenate((fa[1:], fa[:1]))
     total = 0.0
     for depth in range(24, -1, -1):
         dphi = np.angle(fb / fa)

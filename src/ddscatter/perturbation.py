@@ -76,9 +76,10 @@ class PerturbedOperator:
     couplings: tuple
 
     def __post_init__(self):
-        h0 = _require_hermitian(self.h0, "H0")
+        h0 = _frozen(_require_hermitian(self.h0, "H0"), self.h0)
         object.__setattr__(self, "h0", h0)
-        gens = tuple(_require_hermitian(g, f"H_{i+1}") for i, g in enumerate(self.generators))
+        gens = tuple(_frozen(_require_hermitian(g, f"H_{i+1}"), g)
+                     for i, g in enumerate(self.generators))
         if not gens:
             raise DomainError("at least one generator required")
         if len(gens) != len(self.couplings):
@@ -151,9 +152,11 @@ def _real_if_exact(M):
     return M
 
 
-def _frozen(M):
-    """_real_if_exact(M), marked read-only; M must be a fresh array."""
+def _frozen(M, given=None):
+    """_real_if_exact(M), read-only; a copy when it may share memory with `given`."""
     M = _real_if_exact(M)
+    if M is given or not M.flags.owndata:
+        M = M.copy()
     M.flags.writeable = False
     return M
 

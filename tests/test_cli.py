@@ -25,6 +25,10 @@ from ddscatter.kernels import DistributionalKernel, KernelTerm
 # flag or status changes it
 FIG4_SHA256 = "46fe0df2f3768f3a0489c34f5233e0371d638650e14cfabdf377a8eb7fd6a818"
 
+# SHA-256 of the README energy sweep's CSV; any change to a printed
+# closed-form value or to the quadrature oracle's abs_diff changes it
+README_ENERGY_SHA256 = "f3b1915a00dc7ff8deb3055a916751783d1cd886194be71bef5cdcd695fb3918"
+
 # SHA-256 of the README's two kernel dumps (--grid=-3:3:121) and their
 # term lists; any change to a printed value or a term changes them
 README_KERNEL_DUMPS = {
@@ -249,6 +253,13 @@ class TestEnergyCommand:
         # oracle column agrees with the closed form
         assert all(float(r["abs_diff"]) < 1e-8 for r in rows)
 
+    def test_readme_energy_csv_digest(self, tmp_path):
+        out = tmp_path / "energy.csv"
+        rc = main(["energy", "--im-z", "0.2", "--re-z", "0.1", "--sweep", "sigma=0.2:5:241",
+                   "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == README_ENERGY_SHA256
+
     def test_sweep_x0_symmetric(self, tmp_path):
         out = tmp_path / "energy.csv"
         rc = main([
@@ -416,6 +427,27 @@ class TestVerifyCommand:
         path.write_text(text)
         assert main(["verify", "--perturbation", str(path)]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", [["--json", "R"], ["--level", "full"], ["--level", "fast"]],
+        ids=["json", "level-full", "level-fast"],
+    )
+    def test_perturbation_with_suite_flags_is_usage_error(self, tmp_path, capsys, extra):
+        # --perturbation runs no suite: a report path or a level it would
+        # ignore is refused before the (valid) instance is solved
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "h0": [[0.0, 0.0], [0.0, 1.0]],
+            "generators": [[[0.0, 1.0], [1.0, 0.0]]],
+            "couplings": [[0.0, 0.01]],
+        }))
+        assert main(["verify", "--perturbation", str(path)]) == 0
+        (tmp_path / "instance.json.out.json").unlink()
+        extra = [str(tmp_path / v) if v == "R" else v for v in extra]
+        assert main(["verify", "--perturbation", str(path), *extra]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "R").exists()
+        assert not (tmp_path / "instance.json.out.json").exists()
 
     def test_fast_passes(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -89,6 +89,18 @@ class TestIntegratePanels:
         assert 0 < info.value.error_bound < 1e-3
         assert abs(info.value.estimate - np.sqrt(np.pi)) < 1e-3
 
+    def test_budget_floor_applied_inside(self):
+        # panels 1e-3 wide would put 16,000 on (-8, 8), past the budget of
+        # 400, so one level would fit and the bound would be infinite; the
+        # floor widens them to 4 * 16 / 400 and two levels agree
+        v = integrate_panels(lambda x: np.exp(-x * x), (-8.0, 8.0), 1e-3)
+        assert abs(v - np.sqrt(np.pi)) < 1e-12
+
+    def test_unit_panels_shared_and_read_only(self):
+        t, w = _unit_panels(5)
+        assert _unit_panels(5)[0] is t
+        assert not (t.flags.writeable or w.flags.writeable)
+
     @pytest.mark.parametrize("count", [1, 3, 17, 256])
     def test_unit_panel_weights_match_tiled(self, count):
         # the np.tile construction the tables were first built with

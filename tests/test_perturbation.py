@@ -262,13 +262,27 @@ class TestBasisAndArithmetic:
         parts = (p.h1, p.h1_hermitian, p.h1_antihermitian, p.total)
         assert all(M.dtype == float and not M.flags.writeable for M in parts)
         assert p.h1_antihermitian is p.h1_antihermitian
-        assert p.h0.flags.writeable and S.flags.writeable  # the caller's arrays
+        assert not (p.h0.flags.writeable or S.flags.writeable or T.flags.writeable)
         q1 = solve_q1(p)
         H0, Hh, A = (np.asarray(M, complex) for M in (p.h0, p.h1_hermitian, p.h1_antihermitian))
         want = H0 + Hh + 0.25 * (A @ q1 - q1 @ A)
         h = equivalent_h(p, q1)
         assert h.dtype == complex
         assert np.linalg.norm(h - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_caller_writes_do_not_reach_the_instance(self):
+        # H0, the generators and everything cached from them are the
+        # instance's own: a later write into the caller's arrays changes
+        # neither p.h0 nor p.total nor the eigenbasis
+        h0, s = np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = PerturbedOperator(h0, (s,), (0.1,))
+        total = p.total.copy()
+        h0[1, 1], s[0, 1] = 5.0, 7.0
+        assert p.h0[1, 1] == 1.0 and p.generators[0][0, 1] == 1.0
+        assert np.array_equal(p.total, total)
+        assert np.array_equal(p.h0_eigh[0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            p.h0[0, 0] = 2.0
 
     def test_outputs_are_complex(self):
         p = solvable_instance(5, 1e-2, 38)

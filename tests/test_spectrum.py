@@ -199,6 +199,16 @@ class TestBoundStates:
             assert cell.status.startswith("error: NoConvergenceError")
             assert not cell.quasi_hermitian
 
+    @pytest.mark.xfail(strict=True, raises=NoConvergenceError,
+                       reason="a pair this close is counted but not located (ROADMAP item 2)")
+    def test_symmetric_well_pair_located(self):
+        # z_+ = z_- = -20: kappa = 10 -+ 10 e^{-2 kappa}; every z_+ = z_- <= -15
+        # at a = 1 fails the same way, while -14 passes
+        c = Couplings(-20, -20, 1.0)
+        assert count_bound_states(c) == (2, 2)
+        kappas = sorted(k.imag for k in bound_state_roots(c))
+        assert kappas == pytest.approx([9.99999997938846, 10.000000020611536], abs=1e-9)
+
     def test_count_matches_refined_roots(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
