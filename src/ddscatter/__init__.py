@@ -25,8 +25,6 @@ from .hermitianize import (
     GaussianPacket,
     apply_h,
     energy_gaussian,
-    energy_gaussian_moving,
-    energy_gaussian_shifted,
     energy_quadrature,
     h_delta_coefficients,
     h_kernel,

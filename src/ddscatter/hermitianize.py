@@ -4,8 +4,8 @@ The nonlocal Hermitian kernel equivalent to the non-Hermitian double-delta
 Hamiltonian (valid on the class Im(z_+) = -Im(z_-)), its action on wave
 functions (apply_h: the regular part; h_delta_coefficients: the delta
 parts), Gaussian-packet energy expectation values (quadrature oracle
-plus closed forms built on the complex error function), and the
-first-order pseudo-Hermitian position and momentum kernels.
+plus one erf closed form, with the U, V and W profiles as its parts),
+and the first-order pseudo-Hermitian position and momentum kernels.
 GaussianPacket, defined in kernels and re-exported here, owns the box
 and the coarsest panel width that kernel_pair and energy_quadrature
 integrate it with.
@@ -45,8 +45,6 @@ __all__ = [
     "v_fn",
     "w_fn",
     "energy_gaussian",
-    "energy_gaussian_moving",
-    "energy_gaussian_shifted",
     "x_kernel",
     "p_kernel",
 ]
@@ -64,12 +62,17 @@ def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0
     exp(-(t-x0)^2/2 sigma^2)) stays bounded for any phase.  Every
     exponent has a non-positive real part, so cmath.exp can only
     underflow, and that quietly gives 0; the unbounded squares are
-    products, as in the profiles below.
+    products, as in the profiles below.  DomainError unless packet is a
+    GaussianPacket, lo and hi are not nan and phase is finite.
     """
     import scipy.special
 
+    _require_packets(packet)
+    lo, hi, phase = float(lo), float(hi), float(phase)
+    if math.isnan(lo) or math.isnan(hi) or not math.isfinite(phase):
+        raise DomainError("segment ends must not be nan and the phase must be finite")
     s, x0 = packet.sigma, packet.x0
-    kap = packet.k0 + float(phase)
+    kap = packet.k0 + phase
     amp = packet._norm * s * math.sqrt(math.pi / 2)
     pref = amp * cmath.exp(1j * kap * x0 - kap * kap * s**2 / 2)
 
@@ -86,7 +89,7 @@ def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0
             return pref - e_t * complex(scipy.special.wofz(1j * w))
         return e_t * complex(scipy.special.wofz(-1j * w)) - pref
 
-    return pref_times_end(float(hi)) - pref_times_end(float(lo))
+    return pref_times_end(hi) - pref_times_end(lo)
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,8 @@ def _kinetic(psi):
 
 
 def energy_quadrature(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
-    """Energy expectation value by quadrature; the oracle for every closed
-    form below.
+    """Energy expectation value by quadrature; the oracle for the closed
+    form energy_gaussian.
 
         E = int |psi'|^2
           + Re z_+ |psi(a)|^2 + Re z_- |psi(-a)|^2
@@ -222,7 +225,7 @@ def energy_quadrature(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
     |psi'|^2.  The windows (-a, 3a) and (-3a, a) start from the coarsest
     panel width kernel_pair uses for a packet: four times the shorter of
     sigma and 1/|k0|.  It samples psi and psi' in x-space only, so it
-    shares nothing with the erf/Faddeeva closed forms it checks.
+    shares nothing with the erf/Faddeeva closed form it checks.
     packet must be a GaussianPacket (DomainError otherwise).
     """
     _require_packets(packet)
@@ -319,11 +322,17 @@ def w_fn(a: float, sigma: float, x0: float) -> float:
 
 
 def energy_gaussian(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
-    """Closed-form energy for a general Gaussian packet (erf route).
+    """Closed-form energy for a Gaussian packet (erf route).
 
     Fast path equivalent to energy_quadrature; the quadrature remains the
-    contract and arbitrates any transcription question.
+    contract and arbitrates any transcription question.  With lambda =
+    Im z_+ and r = Re z_+ = -Re z_-, its nonlocal parts at (sigma, k, 0)
+    and (sigma, 0, x0) are lambda^2 U/(2 sqrt2) and lambda^2 W/(4 sqrt2),
+    and its local part at (sigma, 0, x0) is r V/(sigma sqrt pi)
+    (hermitianize.u_w_profiles).  DomainError unless packet is a
+    GaussianPacket.
     """
+    _require_packets(packet)
     _require_class(c)
     a = c.a
     kinetic = packet.k0**2 + 1.0 / (2 * packet.sigma**2)
@@ -336,42 +345,6 @@ def energy_gaussian(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
     nonloc = (lam2 / 4) * (
         np.conj(packet(-a)) * int_m + np.conj(packet(a)) * int_p
     ).real
-    return EnergyBreakdown(float(kinetic), float(local), float(nonloc))
-
-
-def energy_gaussian_moving(c: Couplings, sigma: float, k: float) -> EnergyBreakdown:
-    """Closed form for the origin-centred moving packet:
-
-        kinetic  = k^2 + 1/(2 sigma^2)
-        nonlocal = (Im z_+)^2 U(a, sigma, k) / (2 sqrt 2)
-
-    Must agree with energy_quadrature to 1e-6 relative.
-    """
-    _require_class(c)
-    packet = GaussianPacket(sigma, k0=k, x0=0.0)
-    kinetic = k**2 + 1.0 / (2 * sigma**2)
-    local = (
-        c.z_plus.real * abs(packet(c.a)) ** 2
-        + c.z_minus.real * abs(packet(-c.a)) ** 2
-    )
-    nonloc = c.z_plus.imag ** 2 * u_fn(c.a, sigma, k) / (2 * _SQRT2)
-    return EnergyBreakdown(float(kinetic), float(local), float(nonloc))
-
-
-def energy_gaussian_shifted(c: Couplings, sigma: float, x0: float) -> EnergyBreakdown:
-    """Closed form for the stationary packet at mean position x0:
-
-        kinetic  = 1/(2 sigma^2)
-        nonlocal = (Im z_+)^2 W(a, sigma, x0) / (4 sqrt 2)
-    """
-    _require_class(c)
-    packet = GaussianPacket(sigma, k0=0.0, x0=x0)
-    kinetic = 1.0 / (2 * sigma**2)
-    local = (
-        c.z_plus.real * abs(packet(c.a)) ** 2
-        + c.z_minus.real * abs(packet(-c.a)) ** 2
-    )
-    nonloc = c.z_plus.imag ** 2 * w_fn(c.a, sigma, x0) / (4 * _SQRT2)
     return EnergyBreakdown(float(kinetic), float(local), float(nonloc))
 
 

@@ -195,8 +195,8 @@ def m22(c: Couplings, k):
 def k_matrix(c: Couplings, k: float):
     """Overlap matrix K at equal wave number: <psi^{z*}_a | psi^z_b> =
     delta(k-q) K_ab.  Entries in closed form."""
-    if k <= 0:
-        raise DomainError("k_matrix requires k > 0")
+    if not (np.isfinite(k) and k > 0):
+        raise DomainError("k_matrix requires a finite k > 0")
     zp, zm, a = c.z_plus, c.z_minus, c.a
     diag = 1 + (zm * zm + zp * zp) / (4 * k * k)
 

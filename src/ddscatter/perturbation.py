@@ -15,8 +15,8 @@ zero is checked, stored, multiplied and decomposed as a real array: H0 and
 the generators are kept real, and H1, its Hermitian and anti-Hermitian
 parts and H0 + H1 are built once per instance, real when exactly real.
 Every commutator, each of a Hermitian or anti-Hermitian matrix with a
-Hermitian one, comes from one product.  Every public function still
-returns complex arrays.
+Hermitian one, comes from one product.  eta and rho come from one eigh
+of -(Q1 + Q2).  Every public function still returns complex arrays.
 """
 
 from __future__ import annotations
@@ -131,10 +131,24 @@ class PerturbedOperator:
 @dataclass(frozen=True)
 class QExpansion:
     """First two orders of the Hermitian generator, diagonal-free in the
-    H0 eigenbasis."""
+    H0 eigenbasis; checked, read-only and its own, so that the one eigh of
+    -(Q1 + Q2), which eta and rho are read from, cannot go stale."""
 
     q1: np.ndarray
     q2: np.ndarray
+
+    def __post_init__(self):
+        for name in ("q1", "q2"):
+            given = getattr(self, name)
+            object.__setattr__(self, name, _frozen(_require_hermitian(given, name.upper()), given))
+        if self.q2.shape != self.q1.shape:
+            raise DomainError(f"Q2 has shape {self.q2.shape}, Q1 has {self.q1.shape}")
+
+    @cached_property
+    def _eigh(self):
+        # (w, V); halving is exact, so rho's (w/2, V) is eigh(-(Q1 + Q2)/2) bit for bit
+        q = self.q1 + self.q2
+        return np.linalg.eigh(_real_if_exact(np.negative(q, out=q)))
 
 
 def _float_or_complex(M):
@@ -284,8 +298,12 @@ def conjugated_h(p: PerturbedOperator, q: QExpansion) -> np.ndarray:
     residual exhibits the cubic coupling scaling; the closed formula
     equivalent_h agrees with it to the same order.
     """
-    rho, rho_inv = _expm_pair_hermitian(_real_if_exact(-0.5 * (q.q1 + q.q2)))
-    return np.asarray(rho @ p.total @ rho_inv, dtype=complex)
+    rho, rho_inv = _exp_pair(*q._eigh, 0.5)
+    h = rho @ p.total
+    del rho  # release each factor once used: q already holds Q1, Q2 and V
+    h = h @ rho_inv
+    del rho_inv
+    return np.asarray(h, dtype=complex)
 
 
 def map_observable(o: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -302,24 +320,29 @@ def map_observable(o: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return o - 0.5 * (c1 + c2 - 0.25 * _commutator_antihermitian(c1, q1))
 
 
-def _expm_pair_hermitian(A):
-    """(exp(A), exp(-A)) for Hermitian A from one eigendecomposition."""
-    w, V = np.linalg.eigh(A)
-    Vh = np.conj(V).T  # a copy: a real V.conj() is V itself, scaled below
-    exp_a = (V * np.exp(w)) @ Vh
-    V *= np.exp(-w)  # in place: no third n x n temporary at the peak
-    return exp_a, V @ Vh
+def _exp_pair(w, V, t=1.0):
+    """(V e^{tw} V^dag, V e^{-tw} V^dag) for real w; V itself is not written."""
+    w, Vh = t * w, V.conj().T
+    VE = V * np.exp(w)
+    exp_w = VE @ Vh
+    np.multiply(V, np.exp(-w), out=VE)  # into VE: no third n x n temporary at the peak
+    return exp_w, VE @ Vh
+
+
+def _metric(w, V):
+    """eta = V e^w V^dag, checked against its inverse."""
+    eta, eta_inv = _exp_pair(w, V)
+    check = np.linalg.norm(eta_inv @ eta - np.eye(len(w)))
+    if check > 1e-10 * len(w):
+        raise InconsistencyError(f"matrix exponential inversion residual {check:.2e}")
+    return np.asarray(eta, dtype=complex)
 
 
 def eta_from_q(q1: np.ndarray, q2: np.ndarray = None) -> np.ndarray:
-    """Positive-definite metric eta = exp(-Q1 - Q2)."""
-    q1 = _require_hermitian(q1, "Q1")
-    q = q1 if q2 is None else q1 + _require_hermitian(q2, "Q2")
-    eta, eta_inv = _expm_pair_hermitian(_real_if_exact(-q))
-    check = np.linalg.norm(eta_inv @ eta - np.eye(len(q)))
-    if check > 1e-10 * len(q):
-        raise InconsistencyError(f"matrix exponential inversion residual {check:.2e}")
-    return np.asarray(eta, dtype=complex)
+    """Positive-definite metric eta = exp(-Q1 - Q2), Q2 = 0 when omitted."""
+    if q2 is None:
+        return _metric(*np.linalg.eigh(_real_if_exact(-_require_hermitian(q1, "Q1"))))
+    return _metric(*QExpansion(q1, q2)._eigh)
 
 
 # dense JSON wire format: a row-major list of n rows, each of n plain
@@ -381,9 +404,10 @@ def run_instance(payload: dict) -> dict:
     q1 = solve_q1(p)
     q2 = solve_q2(p, q1)
     h = equivalent_h(p, q1)
-    eta = eta_from_q(q1, q2)
+    q = QExpansion(q1, q2)
+    eta = _metric(*q._eigh)
     P = eta @ p.total  # eta H - H^dag eta = P - P^dag for Hermitian eta
-    hc = conjugated_h(p, QExpansion(q1, q2))
+    hc = conjugated_h(p, q)
     return {
         "q1": matrix_to_json(q1),
         "q2": matrix_to_json(q2),

@@ -17,6 +17,7 @@ acceptance suite and README for the full story).
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -407,32 +408,49 @@ def check_h_kernel_structure():
     )
 
 
+def _energy_points(full):
+    """(c, packet, moving) over the energy checks' grid: the moving packets
+    (sigma, k, 0) and the shifted ones (sigma, 0, x0)."""
+    sigmas = (0.5, 1.0, 1.5, 3.0) if full else (1.0, 1.5)
+    ks = (0.0, 0.5, 1.0, 2.0) if full else (0.0, 1.0)
+    x0s = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0) if full else (0.0, -1.0)
+    for lam in (0.1, 0.2):
+        c = Couplings(0.3 + 1j * lam, -0.3 - 1j * lam, 1.0)
+        for s in sigmas:
+            yield from ((c, herm.GaussianPacket(s, k, 0.0), True) for k in ks)
+            yield from ((c, herm.GaussianPacket(s, 0.0, x0), False) for x0 in x0s)
+
+
 def check_u_w_profiles():
     ks = [*np.linspace(-3, 3, 121), 0.3, 1.1, 2.7]
     u_even = max(abs(herm.u_fn(1.0, 1.4, k) - herm.u_fn(1.0, 1.4, -k)) for k in ks)
     sx = [(2.1, x) for x in np.linspace(-5, 5, 101)]
     sx += [(s, x) for s in (0.4, 1.5, 5.0) for x in (0.3, 1.4, 3.3)]
     w_even = max(abs(herm.w_fn(1.0, s, x) - herm.w_fn(1.0, s, -x)) for s, x in sx)
-    ok = u_even <= 1e-12 and w_even <= 1e-10
-    return ok, f"U evenness {u_even:.2e}, W parity {w_even:.2e}"
+    # U, W and V are parts of energy_gaussian's energy, with lambda = Im z_+
+    # and r = Re z_+ = -Re z_-: the worst deviation of each over |total|
+    dev = dict.fromkeys("UWV", 0.0)
+    for c, g, moving in _energy_points(full=True):
+        e, a, s, lam2 = herm.energy_gaussian(c, g), c.a, g.sigma, c.z_plus.imag ** 2
+        if moving:
+            diffs = {"U": lam2 * herm.u_fn(a, s, g.k0) / math.sqrt(8) - e.nonlocal_part}
+        else:
+            diffs = {"W": lam2 * herm.w_fn(a, s, g.x0) / math.sqrt(32) - e.nonlocal_part,
+                     "V": c.z_plus.real * herm.v_fn(a, s, g.x0) / (s * math.sqrt(math.pi))
+                     - e.local_potential}
+        for name, d in diffs.items():
+            dev[name] = max(dev[name], abs(d) / abs(e.total))
+    ok = u_even <= 1e-12 and w_even <= 1e-10 and max(dev.values()) <= 1e-12
+    parts = ", ".join(f"{k} {v:.1e}" for k, v in dev.items())
+    return ok, (f"U evenness {u_even:.2e}, W parity {w_even:.2e}; "
+                f"energy_gaussian parts {parts} (<=1e-12 |total|)")
 
 
 def check_energy_closed_vs_oracle(full=False):
-    sigmas = (0.5, 1.0, 1.5, 3.0) if full else (1.0, 1.5)
-    ks = (0.0, 0.5, 1.0, 2.0) if full else (0.0, 1.0)
-    x0s = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0) if full else (0.0, -1.0)
     worst = 0.0
-    for lam in (0.1, 0.2):
-        c = Couplings(0.3 + 1j * lam, -0.3 - 1j * lam, 1.0)
-        for s in sigmas:
-            for k in ks:
-                em = herm.energy_gaussian_moving(c, s, k)
-                eq = herm.energy_quadrature(c, herm.GaussianPacket(s, k, 0.0))
-                worst = max(worst, abs(em.total - eq.total) / abs(eq.total))
-            for x0 in x0s:
-                es = herm.energy_gaussian_shifted(c, s, x0)
-                eq = herm.energy_quadrature(c, herm.GaussianPacket(s, 0.0, x0))
-                worst = max(worst, abs(es.total - eq.total) / abs(eq.total))
+    for c, g, _ in _energy_points(full):
+        eq = herm.energy_quadrature(c, g)
+        worst = max(worst, abs(herm.energy_gaussian(c, g).total - eq.total) / abs(eq.total))
     return worst <= 1e-6, f"closed vs quadrature worst rel {worst:.2e} (<=1e-6)"
 
 
@@ -440,8 +458,9 @@ def check_pt_insensitivity():
     # nonlocal energy depends on Re parts not at all (at this order)
     worst = 0.0
     for s, k in ((1.0, 0.3), (1.5, 0.0), (2.5, 1.0)):
-        e1 = herm.energy_gaussian_moving(Couplings(0.4 + 0.2j, -0.1 - 0.2j, 1.0), s, k)
-        e2 = herm.energy_gaussian_moving(Couplings(-0.3 + 0.2j, 0.6 - 0.2j, 1.0), s, k)
+        g = herm.GaussianPacket(s, k, 0.0)
+        e1 = herm.energy_gaussian(Couplings(0.4 + 0.2j, -0.1 - 0.2j, 1.0), g)
+        e2 = herm.energy_gaussian(Couplings(-0.3 + 0.2j, 0.6 - 0.2j, 1.0), g)
         worst = max(worst, abs(e1.nonlocal_part - e2.nonlocal_part))
     return worst <= 1e-12, f"worst nonlocal shift {worst:.2e}"
 

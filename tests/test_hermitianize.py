@@ -24,8 +24,6 @@ from ddscatter import (
     UnsupportedCouplingError,
     apply_h,
     energy_gaussian,
-    energy_gaussian_moving,
-    energy_gaussian_shifted,
     energy_quadrature,
     h_delta_coefficients,
     h_kernel,
@@ -121,9 +119,24 @@ class TestEnergies:
         assert e.local_potential == 0 and e.nonlocal_part == 0
 
     def test_plain_callable_rejected(self):
+        # energy_gaussian and gaussian_segment_integral once raised
+        # AttributeError reading psi.k0 and psi.sigma
         g = GaussianPacket(2.0)
+        for energy in (energy_quadrature, energy_gaussian):
+            with pytest.raises(DomainError, match="GaussianPacket"):
+                energy(C_GENERAL, lambda x: g(x))
         with pytest.raises(DomainError, match="GaussianPacket"):
-            energy_quadrature(C_GENERAL, lambda x: g(x))
+            gaussian_segment_integral(lambda x: g(x), -1.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, phase",
+        [(math.nan, 1.0, 0.0), (-1.0, math.nan, 0.0), (-1.0, 1.0, math.nan),
+         (-1.0, 1.0, math.inf), (-math.inf, math.inf, -math.inf)],
+    )
+    def test_segment_nan_end_or_non_finite_phase_rejected(self, lo, hi, phase):
+        # each once returned nan+nanj
+        with pytest.raises(DomainError):
+            gaussian_segment_integral(GaussianPacket(1.1, 0.6, -0.4), lo, hi, phase)
 
     def test_even_packet_antisymmetric_local_cancels(self):
         e = energy_quadrature(C_ANTISYM, GaussianPacket(1.3, 0.0, 0.0))
@@ -133,20 +146,6 @@ class TestEnergies:
         e = energy_quadrature(C_GENERAL, GaussianPacket(1.1, 0.5, -0.3))
         assert abs(e.total - (e.kinetic + e.local_potential + e.nonlocal_part)) < 1e-12
 
-    def test_moving_closed_form(self):
-        for sigma in (0.5, 1.5, 3.0):
-            for k in (0.0, 0.5, 2.0):
-                em = energy_gaussian_moving(C_GENERAL, sigma, k)
-                eq = energy_quadrature(C_GENERAL, GaussianPacket(sigma, k, 0.0))
-                assert abs(em.total - eq.total) <= 1e-6 * abs(eq.total)
-
-    def test_shifted_closed_form(self):
-        for sigma in (0.7, 1.5):
-            for x0 in (0.0, -1.0, 2.0):
-                es = energy_gaussian_shifted(C_GENERAL, sigma, x0)
-                eq = energy_quadrature(C_GENERAL, GaussianPacket(sigma, 0.0, x0))
-                assert abs(es.total - eq.total) <= 1e-6 * abs(eq.total)
-
     def test_general_closed_form(self):
         g = GaussianPacket(1.4, 0.6, -0.5)
         eg = energy_gaussian(C_GENERAL, g)
@@ -154,7 +153,7 @@ class TestEnergies:
         assert abs(eg.total - eq.total) <= 1e-9 * abs(eq.total)
 
     def test_free_closed_is_kinetic(self):
-        e = energy_gaussian_moving(Couplings(0.0, 0.0, 1.0), 1.5, 0.8)
+        e = energy_gaussian(Couplings(0.0, 0.0, 1.0), GaussianPacket(1.5, 0.8, 0.0))
         assert e.local_potential == 0 and e.nonlocal_part == 0
         assert abs(e.kinetic - (0.64 + 1 / 4.5)) < 1e-12
 
@@ -167,19 +166,22 @@ class TestEnergies:
 
     def test_nonlocal_momentum_decay(self):
         c = Couplings(0.2j, -0.2j, 1.0)
-        peak = energy_gaussian_moving(c, 1.5, 0.0).nonlocal_part
-        far = energy_gaussian_moving(c, 1.5, 3.0).nonlocal_part
+        peak = energy_gaussian(c, GaussianPacket(1.5, 0.0, 0.0)).nonlocal_part
+        far = energy_gaussian(c, GaussianPacket(1.5, 3.0, 0.0)).nonlocal_part
         assert abs(far) < 0.05 * peak
 
     @pytest.mark.parametrize("x0", [5.0, 1.0, -1.0])
     def test_shifted_narrow_packet_far_out(self, x0):
         # |x0|/sigma up to 100: W once overflowed to nan here
         c = Couplings(0.1j, -0.1j, 1.0)
-        es = energy_gaussian_shifted(c, 0.05, x0)
-        eq = energy_quadrature(c, GaussianPacket(0.05, 0.0, x0))
+        g = GaussianPacket(0.05, 0.0, x0)
+        es = energy_gaussian(c, g)
+        eq = energy_quadrature(c, g)
         assert math.isfinite(es.nonlocal_part)
         assert abs(es.nonlocal_part - eq.nonlocal_part) <= 1e-6 * abs(eq.total)
         assert abs(es.total - eq.total) <= 1e-6 * abs(eq.total)
+        w_part = 0.01 * w_fn(1.0, 0.05, x0) / (4 * math.sqrt(2.0))
+        assert abs(w_part - es.nonlocal_part) <= 1e-12 * abs(es.total)
 
     @pytest.mark.parametrize("max_subdivisions", [1, 2])
     def test_quadrature_budget_exhausted(self, max_subdivisions, monkeypatch):
@@ -206,14 +208,17 @@ couplings = st.builds(
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(couplings, st.floats(0.2, 5.0), st.floats(-3.0, 3.0), st.floats(-6.0, 6.0))
 def test_closed_forms_match_quadrature(c, sigma, k0, x0):
-    pairs = (
-        (energy_gaussian(c, GaussianPacket(sigma, k0, x0)), GaussianPacket(sigma, k0, x0)),
-        (energy_gaussian_moving(c, sigma, k0), GaussianPacket(sigma, k0, 0.0)),
-        (energy_gaussian_shifted(c, sigma, x0), GaussianPacket(sigma, 0.0, x0)),
-    )
-    for closed, packet in pairs:
-        eq = energy_quadrature(c, packet)
-        assert abs(closed.total - eq.total) <= 1e-6 * abs(eq.total)
+    g = GaussianPacket(sigma, k0, x0)
+    eq = energy_quadrature(c, g)
+    assert abs(energy_gaussian(c, g).total - eq.total) <= 1e-6 * abs(eq.total)
+    # U and W are the nonlocal parts of the moving and the shifted packet
+    lam2 = c.z_plus.imag ** 2
+    moving = energy_gaussian(c, GaussianPacket(sigma, k0, 0.0))
+    u_part = lam2 * u_fn(c.a, sigma, k0) / (2 * math.sqrt(2.0))
+    assert abs(u_part - moving.nonlocal_part) <= 1e-12 * abs(moving.total)
+    shifted = energy_gaussian(c, GaussianPacket(sigma, 0.0, x0))
+    w_part = lam2 * w_fn(c.a, sigma, x0) / (4 * math.sqrt(2.0))
+    assert abs(w_part - shifted.nonlocal_part) <= 1e-12 * abs(shifted.total)
 
 
 class TestProfiles:

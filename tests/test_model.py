@@ -22,6 +22,7 @@ from ddscatter import (
     psi_conj_eval,
     psi_eval,
     transfer_matrix,
+    u_inverse_sqrt_route,
 )
 
 
@@ -185,3 +186,11 @@ class TestKMatrix:
         K = k_matrix(Couplings(0.1j, 0.1j, 1.0), 1.0)
         assert abs(K[0, 0] - 0.995) < 1e-15
         assert abs(K[1, 1] - 0.995) < 1e-15
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [k_matrix, u_inverse_sqrt_route])
+    def test_non_positive_or_non_finite_k_rejected(self, fn, k):
+        # k = nan once passed the k <= 0 check: k_matrix gave an all-nan
+        # matrix and u_inverse_sqrt_route raised numpy's LinAlgError
+        with pytest.raises(DomainError, match="finite k > 0"):
+            fn(Couplings(0.1j, 0.1j, 1.0), k)

@@ -29,7 +29,7 @@ from ddscatter import (
 from ddscatter.grid import discretized_hamiltonian, uniform_grid
 from ddscatter.kernels import regular_part_grid
 from ddscatter.metric import eta1_bounded
-from ddscatter.perturbation import _expm_pair_hermitian, matrix_from_json, matrix_to_json
+from ddscatter.perturbation import _exp_pair, matrix_from_json, matrix_to_json, run_instance
 from ddscatter.verify import solvable_instance
 
 
@@ -208,11 +208,44 @@ class TestEtaAndObservables:
 
     def test_exponential_pair_of_real_matrix_inverts(self):
         # a real eigenvector matrix V is its own V.conj(): the adjoint
-        # taken for exp(A) must not see the in-place scaling for exp(-A)
+        # taken for exp(A) must not see the scaling for exp(-A), and V,
+        # which a QExpansion caches, must come back unwritten
         rng = np.random.default_rng(36)
         B = rng.normal(size=(6, 6))
-        exp_a, exp_minus_a = _expm_pair_hermitian(0.1 * (B + B.T))
+        w, V = np.linalg.eigh(0.1 * (B + B.T))
+        kept = V.copy()
+        exp_a, exp_minus_a = _exp_pair(w, V)
         assert np.linalg.norm(exp_a @ exp_minus_a - np.eye(6)) <= 1e-12
+        assert np.array_equal(V, kept)
+
+    def test_expansion_rejects_non_hermitian_q(self):
+        q = np.zeros((3, 3))
+        q[0, 1] = 1.0
+        with pytest.raises(DomainError, match="Hermitian"):
+            QExpansion(q, np.zeros((3, 3)))
+        with pytest.raises(DomainError, match="Hermitian"):
+            QExpansion(np.zeros((3, 3)), 1j * np.eye(3))
+        with pytest.raises(DomainError, match="shape"):
+            QExpansion(np.zeros((3, 3)), np.zeros((2, 2)))
+
+    def test_caller_writes_do_not_reach_the_expansion(self):
+        # Q1 and Q2 are the expansion's own: a write into the caller's
+        # arrays, before or after the decomposition is cached, changes
+        # neither eta nor rho H rho^{-1}
+        p = solvable_instance(5, 5e-2, 37)
+        q1 = solve_q1(p)
+        q2 = solve_q2(p, q1)
+        kept1, kept2 = q1.copy(), q2.copy()
+        want = conjugated_h(p, QExpansion(kept1, kept2))
+        q = QExpansion(q1, q2)
+        q1[0, 1] += 1.0
+        first = conjugated_h(p, q)
+        q2[1, 0] += 1.0
+        assert np.array_equal(first, want)
+        assert np.array_equal(conjugated_h(p, q), want)
+        assert np.array_equal(q.q1, kept1) and np.array_equal(q.q2, kept2)
+        with pytest.raises(ValueError, match="read-only"):
+            q.q1[0, 0] = 1.0
 
     def test_observable_pseudo_hermiticity_cubic(self):
         rng = np.random.default_rng(35)
@@ -390,7 +423,7 @@ class TestCost:
     """The work the perturbation path does is the work its result needs."""
 
     @staticmethod
-    def _count_eigh(monkeypatch, p):
+    def _counted_eigh(monkeypatch):
         calls = []
         real = np.linalg.eigh
 
@@ -399,6 +432,10 @@ class TestCost:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def _count_eigh(self, monkeypatch, p):
+        calls = self._counted_eigh(monkeypatch)
         q1 = solve_q1(p)
         q2 = solve_q2(p, q1)
         eta_from_q(q1, q2)
@@ -416,6 +453,22 @@ class TestCost:
         assert self._count_eigh(monkeypatch, p) == 2
         E, V = p.h0_eigh
         assert np.array_equal(E, np.diag(p.h0).real) and np.array_equal(V, np.eye(8))
+
+    @pytest.mark.parametrize("rotate, want", [(False, 1), (True, 2)], ids=["diagonal", "rotated"])
+    def test_run_instance_decomposes_q_once(self, monkeypatch, rotate, want):
+        # eta and rho come from one eigh of -(Q1 + Q2), plus one for a
+        # rotated H0
+        p = solvable_instance(8, 1e-2, 60)
+        if rotate:
+            p, _ = rotated(p, 60)
+        payload = {
+            "h0": matrix_to_json(p.h0),
+            "generators": [matrix_to_json(g) for g in p.generators],
+            "couplings": [[z.real, z.imag] for z in p.couplings],
+        }
+        calls = self._counted_eigh(monkeypatch)
+        run_instance(payload)
+        assert len(calls) == want
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
     def test_q2_and_observable_match_three_product_oracle(self, rotate):
