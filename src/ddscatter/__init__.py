@@ -60,6 +60,7 @@ from .model import (
     dimensionalize,
     k_matrix,
     m22,
+    m22_with_derivative,
     nondimensionalize,
     psi_conj_eval,
     psi_eval,

@@ -11,6 +11,7 @@ Conventions: theta(0) = 1/2 and sign(0) = 0 throughout.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "psi_conj_eval",
     "transfer_matrix",
     "m22",
+    "m22_with_derivative",
     "k_matrix",
     "smeared_overlap_check",
 ]
@@ -174,22 +176,54 @@ def _single_delta_matrix(z, c, k):
 def transfer_matrix(c: Couplings, k):
     """Left-to-right transfer matrix M = M_{+a}(z_+) M_{-a}(z_-); det M = 1."""
     k = complex(k)
+    if not cmath.isfinite(k):
+        raise DomainError("transfer_matrix requires a finite k")
     if k == 0:
         raise DomainError("transfer matrix singular at k = 0")
     return _single_delta_matrix(c.z_plus, c.a, k) @ _single_delta_matrix(c.z_minus, -c.a, k)
+
+
+def _finite_k(k, name):
+    """k as a complex ndarray; DomainError when an entry is not finite."""
+    k = np.asarray(k, dtype=complex)
+    # cmath checks a 0-d k, one per Newton step, in a fifth of numpy's time
+    if not (cmath.isfinite(k) if k.ndim == 0 else np.isfinite(k).all()):
+        raise DomainError(f"{name} requires a finite k")
+    return k
 
 
 def m22(c: Couplings, k):
     """M_22 entry in closed form, vectorized over k.
 
     Zeros on the real axis are spectral singularities; zeros in the upper
-    half plane are bound states (E = k^2).
+    half plane are bound states (E = k^2).  A non-finite k raises
+    DomainError.
     """
-    k = np.asarray(k, dtype=complex)
+    k = _finite_k(k, "m22")
     with np.errstate(all="ignore"):  # stray probes below the real axis overflow harmlessly
         up = c.z_plus / (2j * k)
         um = c.z_minus / (2j * k)
         return (1 - up) * (1 - um) - up * um * np.exp(4j * c.a * k)
+
+
+def m22_with_derivative(c: Couplings, k):
+    """(M_22, dM_22/dk) in closed form, vectorized over k.
+
+    With u_pm = z_pm/(2ik), du_pm/dk = -u_pm/k, and e = e^{4iak}:
+
+        M_22' = [u_+(1 - u_-) + u_-(1 - u_+) + 2 u_+ u_- e]/k - 4ia u_+ u_- e.
+
+    The first entry equals m22(c, k) bit for bit.  A non-finite k raises
+    DomainError.
+    """
+    k = _finite_k(k, "m22_with_derivative")
+    with np.errstate(all="ignore"):
+        up = c.z_plus / (2j * k)
+        um = c.z_minus / (2j * k)
+        upume = up * um * np.exp(4j * c.a * k)
+        value = (1 - up) * (1 - um) - upume
+        slope = (up * (1 - um) + um * (1 - up) + 2 * upume) / k - 4j * c.a * upume
+        return value, slope
 
 
 def k_matrix(c: Couplings, k: float):

@@ -7,13 +7,15 @@ refinement, and argument-principle zero counting on rectangular
 contours.  Everything here is pure and reentrant.  scipy is imported
 only by integrate_1d, so importing the package does not load it.
 
-The root-location routines (``refine_root``, ``count_zeros``) take an
-array-callable ``f``: it maps a complex ndarray to a complex ndarray of
-the same shape, and they batch their evaluation points into few calls.
+``count_zeros`` takes an array-callable ``f``: it maps a complex ndarray
+to a complex ndarray of the same shape, and the contour's points are
+batched into few calls.  ``refine_root`` takes ``fdf``, which maps a
+complex k to the pair (f(k), f'(k)), and calls it once per Newton step.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -257,20 +259,20 @@ _NEWTON_MAX_ITER = 100
 _NEWTON_RESIDUAL = 1e-10
 
 
-def refine_root(f, seed):
-    """Newton refinement of a simple zero from a nearby seed.
+def refine_root(fdf, seed):
+    """Newton refinement of a simple zero of an analytic f from a nearby seed.
 
-    ``f`` is array-callable: it takes a complex ndarray and returns one of
-    the same shape.  Each Newton step evaluates the central-difference
-    stencil [k, k + h, k - h] in one call (f analytic).  Returns the root
-    once |f| <= 1e-10 max(1, |f'| |k|); raises NoConvergenceError after
-    100 steps, when that residual is missed, or at once when f(k) or the
-    difference quotient is not finite.
+    ``fdf`` maps a complex k to the pair (f(k), f'(k)); it is called once
+    per Newton step and once more at the root.  Returns the root once
+    |f| <= 1e-10 max(1, |f'| |k|); raises NoConvergenceError after 100
+    steps, when that residual is missed, or at once when f'(k) = 0 or an
+    iterate, f(k) or f'(k) is not finite (a non-finite iterate before fdf
+    is called there).
     """
     k = complex(seed)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            fk, df = _newton_stencil(f, k)
+            fk, df = _value_and_slope(fdf, k)
             if df == 0:
                 raise NoConvergenceError("vanishing derivative during Newton refinement")
             step = fk / df
@@ -279,20 +281,21 @@ def refine_root(f, seed):
                 break
         else:
             raise NoConvergenceError(f"no convergence after {_NEWTON_MAX_ITER} Newton iterations")
-        fk, df = _newton_stencil(f, k)
+        fk, df = _value_and_slope(fdf, k)
     if abs(fk) > _NEWTON_RESIDUAL * max(1.0, abs(df) * abs(k)):
         raise NoConvergenceError(f"Newton stalled at |f| = {abs(fk):.3e}")
     return k
 
 
-def _newton_stencil(f, k):
-    """(f(k), f'(k)) from one call of f on the stencil [k, k + h, k - h]."""
-    h = 1e-7 * max(1.0, abs(k))
-    fk, fp, fm = f(np.array([k, k + h, k - h]))
-    df = (fp - fm) / (2 * h)
-    if not (np.isfinite(fk) and np.isfinite(df)):
+def _value_and_slope(fdf, k):
+    """fdf(k) as two complexes, with k and both values checked finite."""
+    if not cmath.isfinite(k):
+        raise NoConvergenceError("non-finite iterate during Newton refinement")
+    fk, df = fdf(k)
+    fk, df = complex(fk), complex(df)
+    if not (cmath.isfinite(fk) and cmath.isfinite(df)):
         raise NoConvergenceError("non-finite value during Newton refinement")
-    return complex(fk), complex(df)
+    return fk, df
 
 
 _WINDING_RESIDUAL = 0.25

@@ -16,7 +16,8 @@ the generators are kept real, and H1, its Hermitian and anti-Hermitian
 parts and H0 + H1 are built once per instance, real when exactly real.
 Every commutator, each of a Hermitian or anti-Hermitian matrix with a
 Hermitian one, comes from one product.  eta and rho come from one eigh
-of -(Q1 + Q2).  Every public function still returns complex arrays.
+of -(Q1 + Q2), which a QExpansion caches: QExpansion.eta and
+conjugated_h read it.  Every public function still returns complex arrays.
 """
 
 from __future__ import annotations
@@ -149,6 +150,11 @@ class QExpansion:
         # (w, V); halving is exact, so rho's (w/2, V) is eigh(-(Q1 + Q2)/2) bit for bit
         q = self.q1 + self.q2
         return np.linalg.eigh(_real_if_exact(np.negative(q, out=q)))
+
+    def eta(self) -> np.ndarray:
+        """The metric exp(-Q1 - Q2) from the cached eigh, checked against
+        its inverse; conjugated_h(p, self) reuses that decomposition."""
+        return _metric(*self._eigh)
 
 
 def _float_or_complex(M):
@@ -342,6 +348,8 @@ def eta_from_q(q1: np.ndarray, q2: np.ndarray = None) -> np.ndarray:
     """Positive-definite metric eta = exp(-Q1 - Q2), Q2 = 0 when omitted."""
     if q2 is None:
         return _metric(*np.linalg.eigh(_real_if_exact(-_require_hermitian(q1, "Q1"))))
+    # not QExpansion(q1, q2).eta(): the expansion's own copies of Q1 and Q2
+    # are released here before _metric allocates, which lowers the peak
     return _metric(*QExpansion(q1, q2)._eigh)
 
 
@@ -405,7 +413,7 @@ def run_instance(payload: dict) -> dict:
     q2 = solve_q2(p, q1)
     h = equivalent_h(p, q1)
     q = QExpansion(q1, q2)
-    eta = _metric(*q._eigh)
+    eta = q.eta()
     P = eta @ p.total  # eta H - H^dag eta = P - P^dag for Hermitian eta
     hc = conjugated_h(p, q)
     return {

@@ -15,7 +15,8 @@ is the monic cubic k^3 + b k^2 + c k + d with b = -(y_+ + y_-),
 c = (|z_+|^2 + |z_-|^2 + 4 y_+ y_-)/4 and d = -(y_+ |z_-|^2 + y_- |z_+|^2)/4,
 y_+- = Im z_+-; in the PT-symmetric and antisymmetric modes it reduces
 to k^2 = (y^2 - x^2)/2 for z_+ = x + iy.  Its roots, in closed form, seed
-Newton on M_22.
+Newton on M_22.  Every Newton step reads M_22 and M_22' from one call of
+model.m22_with_derivative; for H, H' = M_22 + k M_22'.
 
 Bound states are searched in the square on the disc
 |k| <= (|z_+| + |z_-|)/2, which holds every zero of F with Im k >= 0
@@ -25,19 +26,19 @@ roots located do not match the count; count_bound_states reads its roots.
 
 Coupling-plane scans classify each grid cell and flag the
 quasi-Hermitian region (no singularities, all bound-state energies
-real).
+real).  A process pool spreads the cells only when asked (jobs != 1);
+concurrent.futures is imported then, so a serial scan never loads it.
 """
 
 from __future__ import annotations
 
 import cmath
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContourError, DdscatterError, DomainError, NoConvergenceError
-from .model import Couplings, m22
+from .model import Couplings, m22, m22_with_derivative
 from .numerics import ComplexRect, count_zeros, refine_root
 
 __all__ = [
@@ -108,13 +109,13 @@ def find_spectral_singularities(c: Couplings):
     real part above K_MIN_CUT; a refined root is accepted only if
     |M_22| <= 1e-10 with |Im k| <= 1e-8.  Refinement failures are skipped.
     """
-    f = lambda k: m22(c, k)
+    fdf = lambda k: m22_with_derivative(c, k)
     roots = []
     for seed in _candidate_cubic(c):
         if seed.real <= K_MIN_CUT:
             continue
         try:
-            root = refine_root(f, seed)
+            root = refine_root(fdf, seed)
         except NoConvergenceError:
             continue
         if abs(root.imag) > _SS_IMAG_TOL:
@@ -122,7 +123,7 @@ def find_spectral_singularities(c: Couplings):
         k = root.real
         if k <= K_MIN_CUT:
             continue
-        if abs(f(k)) > _SS_RESIDUAL_TOL:
+        if abs(m22(c, k)) > _SS_RESIDUAL_TOL:
             continue
         if all(abs(k - r) > 1e-6 * max(1.0, k) for r in roots):
             roots.append(k)
@@ -173,23 +174,29 @@ def bound_state_roots(c: Couplings):
     propagates; NoConvergenceError is raised when the zeros located do
     not match the count."""
     f = lambda k: k * m22(c, k)  # the bound-state function, free of the pole at k = 0
+
+    def fdf(k):
+        m, dm = m22_with_derivative(c, k)
+        return k * m, m + k * dm
+
     step = np.pi / (8 * c.a)  # e^{4iak} turns by pi/2 over this step along an edge
     rect = default_bound_rect(c)
     total = count_zeros(f, rect, step)
     roots = []
-    _isolate(f, step, rect, total, roots, depth=40)
+    _isolate(f, fdf, step, rect, total, roots, depth=40)
     if len(roots) != total:
         raise NoConvergenceError(f"located {len(roots)} of {total} bound states")
     return roots
 
 
-def _isolate(f, step, rect, n, out, depth):
+def _isolate(f, fdf, step, rect, n, out, depth):
+    # f is counted on contours, fdf refines
     if n == 0:
         return
     center = complex(0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max))
     if n == 1:
         try:
-            root = refine_root(f, center)
+            root = refine_root(fdf, center)
         except NoConvergenceError:
             root = None
         # accept a refined root in (or hugging) the box; otherwise Newton
@@ -210,7 +217,7 @@ def _isolate(f, step, rect, n, out, depth):
             continue  # a zero sits on the split line: re-jitter
         if sum(counts) == n:
             for part, cnt in zip(parts, counts):
-                _isolate(f, step, part, cnt, out, depth - 1)
+                _isolate(f, fdf, step, part, cnt, out, depth - 1)
             return
 
 
@@ -255,6 +262,8 @@ def scan_region(
     if jobs == 1:
         cells = [_scan_cell(t) for t in tasks]
     else:
+        import concurrent.futures
+
         workers = None if jobs in (0, -1) else jobs
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             cells = list(ex.map(_scan_cell, tasks, chunksize=16))

@@ -515,8 +515,9 @@ def check_perturbation_scalings():
     def resid(p):
         q1 = pert.solve_q1(p)
         q2 = pert.solve_q2(p, q1)
-        h = pert.conjugated_h(p, pert.QExpansion(q1, q2))
-        P = pert.eta_from_q(q1, q2) @ p.total  # eta H - H^dag eta = P - P^dag
+        q = pert.QExpansion(q1, q2)  # one eigh of -(Q1 + Q2) serves rho and eta
+        h = pert.conjugated_h(p, q)
+        P = q.eta() @ p.total  # eta H - H^dag eta = P - P^dag
         return np.linalg.norm(h - h.conj().T), np.linalg.norm(P - P.conj().T)
 
     fh = fe = np.inf

@@ -18,6 +18,7 @@ from ddscatter import (
     dimensionalize,
     k_matrix,
     m22,
+    m22_with_derivative,
     nondimensionalize,
     psi_conj_eval,
     psi_eval,
@@ -176,6 +177,23 @@ class TestTransferMatrix:
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
             transfer_matrix(Couplings(0.1, 0.1, 1.0), 0.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [transfer_matrix, m22, m22_with_derivative])
+    def test_non_finite_k_rejected(self, fn, k):
+        # these once returned all-nan values without a typed error
+        c = Couplings(0.1, 0.1, 1.0)
+        with pytest.raises(DomainError, match="finite k"):
+            fn(c, k)
+        if fn is not transfer_matrix:  # vectorized: one bad entry rejects the array
+            with pytest.raises(DomainError, match="finite k"):
+                fn(c, np.array([0.5, k, 1.0 + 0.2j]))
+
+    def test_value_with_derivative_is_m22(self):
+        c = Couplings(0.2 + 0.7j, -0.4, 0.8)
+        ks = np.array([0.5, 1.0 + 0.3j, 2.2, -1.1 + 0.05j])
+        value, _ = m22_with_derivative(c, ks)
+        assert np.array_equal(value, m22(c, ks))
 
 
 class TestKMatrix:

@@ -23,6 +23,7 @@ from ddscatter import (
     integrate_panels,
     k_matrix,
     m22,
+    m22_with_derivative,
     matrix_inv_sqrt,
     numerics,
     refine_root,
@@ -145,10 +146,11 @@ class TestCountZeros:
         n = count_zeros(f, ComplexRect(-1, 1, 0.01, 2))
         assert n == 1
         # cross-check by Newton refinement from a coarse grid of starts
+        fdf = lambda k: m22_with_derivative(c, k)
         roots = set()
         for im in np.linspace(0.02, 1.0, 8):
             try:
-                r = refine_root(f, complex(0.0, im))
+                r = refine_root(fdf, complex(0.0, im))
             except Exception:
                 continue
             if 0.01 < r.imag < 2 and abs(r.real) < 1:
@@ -178,24 +180,57 @@ class TestCountZeros:
 
 class TestRefineRoot:
     def test_quadratic(self):
-        assert abs(refine_root(lambda k: k * k + 1, 0.3 + 0.8j) - 1j) < 1e-12
+        assert abs(refine_root(lambda k: (k * k + 1, 2 * k), 0.3 + 0.8j) - 1j) < 1e-12
 
     def test_exponential(self):
-        assert abs(refine_root(lambda k: np.exp(k) + 1, 3j) - np.pi * 1j) < 1e-12
+        fdf = lambda k: (np.exp(k) + 1, np.exp(k))
+        assert abs(refine_root(fdf, 3j) - np.pi * 1j) < 1e-12
 
     def test_residual_contract(self):
         c = Couplings(0.3, -0.3, 1.0)
-        f = lambda k: m22(c, k)
-        r = refine_root(f, 0.1j)
-        assert abs(f(r)) <= 1e-10
+        r = refine_root(lambda k: m22_with_derivative(c, k), 0.1j)
+        value, slope = m22_with_derivative(c, r)
+        assert abs(value) <= 1e-10 * max(1.0, abs(slope) * abs(r))
+        assert abs(m22(c, r)) <= 1e-10
+
+    def test_one_call_per_step(self):
+        # k^2 + 1 from 0.3 + 0.8i: every call is one Newton step but the
+        # last, which reads the residual at the root
+        calls = []
+
+        def fdf(k):
+            calls.append(k)
+            return k * k + 1, 2 * k
+
+        refine_root(fdf, 0.3 + 0.8j)
+        assert all(isinstance(k, complex) for k in calls)
+        steps = np.abs(np.diff(calls))
+        assert steps[-1] <= 1e-14 * max(1.0, abs(calls[-1]))
+        assert (steps[:-1] > 1e-14).all()
 
     def test_non_finite_stops_at_once(self):
         calls = []
 
-        def f(k):
-            calls.append(k.shape)
-            return np.full(k.shape, np.nan, dtype=complex)
+        def fdf(k):
+            calls.append(k)
+            return complex("nan"), 1.0
 
-        with pytest.raises(NoConvergenceError, match="non-finite"):
-            refine_root(f, 0.5j)
-        assert calls == [(3,)]
+        with pytest.raises(NoConvergenceError, match="non-finite value"):
+            refine_root(fdf, 0.5j)
+        assert calls == [0.5j]
+
+    def test_non_finite_iterate_is_not_evaluated(self):
+        # the first step overflows to an infinite iterate, which fdf never sees
+        calls = []
+
+        def fdf(k):
+            calls.append(k)
+            return 1e300, 1e-300
+
+        with pytest.raises(NoConvergenceError, match="non-finite iterate"):
+            refine_root(fdf, 0.5j)
+        assert calls == [0.5j]
+
+    def test_vanishing_derivative(self):
+        with pytest.raises(NoConvergenceError, match="vanishing derivative"):
+            refine_root(lambda k: (k * k + 1, 2 * k), 0.0)

@@ -30,7 +30,7 @@ from ddscatter.grid import discretized_hamiltonian, uniform_grid
 from ddscatter.kernels import regular_part_grid
 from ddscatter.metric import eta1_bounded
 from ddscatter.perturbation import _exp_pair, matrix_from_json, matrix_to_json, run_instance
-from ddscatter.verify import solvable_instance
+from ddscatter.verify import check_perturbation_scalings, solvable_instance
 
 
 def rotated(p, seed):
@@ -469,6 +469,20 @@ class TestCost:
         calls = self._counted_eigh(monkeypatch)
         run_instance(payload)
         assert len(calls) == want
+
+    def test_scalings_check_decomposes_q_once_per_instance(self, monkeypatch):
+        # 8 diagonal-H0 instances, each read for eta and rho from one
+        # QExpansion: one eigh apiece
+        calls = self._counted_eigh(monkeypatch)
+        ok, detail = check_perturbation_scalings()
+        assert ok, detail
+        assert len(calls) == 8
+
+    def test_expansion_eta_is_eta_from_q(self):
+        p = solvable_instance(8, 1e-2, 60)
+        q1 = solve_q1(p)
+        q2 = solve_q2(p, q1)
+        assert np.array_equal(QExpansion(q1, q2).eta(), eta_from_q(q1, q2))
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
     def test_q2_and_observable_match_three_product_oracle(self, rotate):

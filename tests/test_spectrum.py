@@ -28,6 +28,7 @@ from ddscatter import (
     default_bound_rect,
     find_spectral_singularities,
     m22,
+    m22_with_derivative,
     scan_region,
 )
 from ddscatter import spectrum as spectrum_mod
@@ -147,6 +148,51 @@ class TestSpectralSingularities:
         assert abs(y - im_zp) < 1e-5
         found = find_spectral_singularities(couplings(y))
         assert len(found) == 1 and abs(found[0] - k0) < 1e-9
+
+
+def central_difference_misfit(c, k):
+    """The misfits of M_22' and of H' = M_22 + k M_22' (H = k M_22) from
+    m22_with_derivative, each divided by its tolerance, against this
+    test's own oracle: a central difference of m22 with step
+    h = 1e-4 min(|k|, 1/(4a)).
+
+    The tolerance bounds the oracle's own error.  Its truncation,
+    h^2 |f'''| / 6, is below 1e-6 S, S the sum of the moduli of the
+    derivative's terms: each further k-derivative multiplies a term by at
+    most a few times 1/|k| or 4a, and h^2 (1/|k|^2 + 16a^2) <= 2e-8.  Its
+    rounding is below 64 ulp of T / h, T the sum of the moduli of f's
+    terms."""
+    h = 1e-4 * min(abs(k), 1 / (4 * c.a))
+    diff = lambda g: (g(k + h) - g(k - h)) / (2 * h)
+    value, slope = m22_with_derivative(c, k)
+    up, um = abs(c.z_plus / (2 * k)), abs(c.z_minus / (2 * k))
+    upume = up * um * abs(np.exp(4j * c.a * k))
+    terms = (1 + up) * (1 + um) + upume
+    slope_terms = (up * (1 + um) + um * (1 + up) + 2 * upume) / abs(k) + 4 * c.a * upume
+    rounding = 64 * np.finfo(float).eps / h
+    tol_m = 1e-6 * slope_terms + rounding * terms
+    tol_h = 1e-6 * (terms + abs(k) * slope_terms) + rounding * (abs(k) + h) * terms
+    return (
+        abs(slope - diff(lambda q: m22(c, q))) / tol_m,
+        abs(value + k * slope - diff(lambda q: q * m22(c, q))) / tol_h,
+    )
+
+
+class TestNewtonDerivatives:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        mode=st.sampled_from(["antisymmetric", "pt_symmetric", "general"]),
+        r=st.floats(-8.0, 8.0),
+        s=st.floats(-8.0, 8.0),
+        z_minus_re=st.floats(-8.0, 8.0),
+        z_minus_im=st.floats(-8.0, 8.0),
+        a=st.floats(0.5, 2.0),
+        re_k=st.floats(-10.0, 10.0),
+        im_k=st.floats(0.01, 5.0),
+    )
+    def test_match_central_difference(self, mode, r, s, z_minus_re, z_minus_im, a, re_k, im_k):
+        c = ScanMode(mode, complex(z_minus_re, z_minus_im)).couplings(r, s, a)
+        assert max(central_difference_misfit(c, complex(re_k, im_k))) <= 1.0
 
 
 class TestBoundStates:
@@ -374,14 +420,14 @@ class TestScanRegion:
             assert ca.spectral_singularities == cb.spectral_singularities
 
 
-def _scipy_modules_after(work):
-    """The scipy modules a fresh interpreter has loaded after importing
-    ddscatter and running the statement ``work``: this one has loaded
-    scipy for the oracles."""
+def _scipy_modules_after(work, packages=("scipy",)):
+    """The modules of ``packages`` (scipy by default) a fresh interpreter
+    has loaded after importing ddscatter and running the statement
+    ``work``: this one has loaded scipy for the oracles."""
     code = (
         "import sys, ddscatter\n"
         f"{work}\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ddscatter.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
@@ -389,9 +435,17 @@ def _scipy_modules_after(work):
     return out.stdout.strip()
 
 
+SERIAL_SCAN = "ddscatter.scan_region(ddscatter.ScanMode('pt_symmetric'), (-0.6, -0.4), (0.0, 0.2), 2)"
+
+
 def test_import_and_scan_leave_scipy_unloaded():
-    work = "ddscatter.scan_region(ddscatter.ScanMode('pt_symmetric'), (-0.6, -0.4), (0.0, 0.2), 2)"
-    assert _scipy_modules_after(work) == "[]"
+    assert _scipy_modules_after(SERIAL_SCAN) == "[]"
+
+
+def test_import_and_serial_scan_leave_pool_unloaded():
+    # scan_region imports concurrent.futures only for jobs != 1
+    assert _scipy_modules_after(SERIAL_SCAN, ("concurrent",)) == "[]"
+    assert _scipy_modules_after(SERIAL_SCAN.replace(", 2)", ", 2, jobs=2)"), ("concurrent",)) != "[]"
 
 
 def test_grid_residuals_leave_scipy_unloaded():
