@@ -91,6 +91,7 @@ from .spectrum import (
     ScanMode,
     bound_state_roots,
     count_bound_states,
+    couplings_with_zeros,
     default_bound_rect,
     find_spectral_singularities,
     scan_region,

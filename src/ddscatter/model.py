@@ -4,7 +4,9 @@ Dimensionless Hamiltonian H = -d^2/dx^2 + z_+ delta(x-a) + z_- delta(x+a)
 with complex couplings z_+- and half-separation a > 0.  This module holds
 the nondimensionalization map, the exact scattering eigenfunctions, the
 transfer matrix, and the 2x2 overlap matrix K between the conjugated and
-original eigenfamilies.
+original eigenfamilies.  The entry M_22 and its k-derivative come from one
+evaluator in sigma = z_+ + z_- and pi = z_+ z_- (m22, m22_with_derivative):
+a scalar k gives np.complex128 values, an array k arrays.
 
 Conventions: theta(0) = 1/2 and sign(0) = 0 throughout.
 """
@@ -184,16 +186,45 @@ def transfer_matrix(c: Couplings, k):
 
 
 def _finite_k(k, name):
-    """k as a complex ndarray; DomainError when an entry is not finite."""
+    """k as a numpy complex scalar when it is 0-d, else as a complex
+    ndarray; DomainError when an entry is not finite."""
     k = np.asarray(k, dtype=complex)
-    # cmath checks a 0-d k, one per Newton step, in a fifth of numpy's time
-    if not (cmath.isfinite(k) if k.ndim == 0 else np.isfinite(k).all()):
+    if k.ndim == 0:
+        # one Newton step: scalar arithmetic costs a fraction of a 0-d
+        # array's, and cmath checks it in a fifth of numpy's time
+        k = k[()]
+        finite = cmath.isfinite(k)
+    else:
+        finite = np.isfinite(k).all()
+    if not finite:
         raise DomainError(f"{name} requires a finite k")
     return k
 
 
+def _m22_terms(sigma, pi, a, k):
+    """Yields M_22, then dM_22/dk, from sigma = z_+ + z_- and pi = z_+ z_-,
+    broadcast over all four arguments.  With e = e^{4iak} and t = i/(2k),
+    dt/dk = -t/k:
+
+        M_22  = 1 + sigma t + pi t^2 (1 - e),
+        M_22' = -(sigma t + 2 pi t^2 (1 - e))/k - 4ia pi t^2 e.
+
+    A caller that needs only M_22 stops after the first: contour sampling
+    then spends no array operations on the derivative.
+    """
+    t = 0.5j / k
+    e = np.exp(4j * a * k)
+    sigma_t = sigma * t
+    pi_t2 = pi * t * t
+    pole = pi_t2 * (1 - e)
+    yield 1 + sigma_t + pole
+    yield -(sigma_t + 2 * pole) / k - 4j * a * pi_t2 * e
+
+
 def m22(c: Couplings, k):
-    """M_22 entry in closed form, vectorized over k.
+    """M_22 entry in closed form, vectorized over k: the first entry of
+    m22_with_derivative.  A scalar k gives an np.complex128, an array k
+    an array of its shape.
 
     Zeros on the real axis are spectral singularities; zeros in the upper
     half plane are bound states (E = k^2).  A non-finite k raises
@@ -201,28 +232,22 @@ def m22(c: Couplings, k):
     """
     k = _finite_k(k, "m22")
     with np.errstate(all="ignore"):  # stray probes below the real axis overflow harmlessly
-        up = c.z_plus / (2j * k)
-        um = c.z_minus / (2j * k)
-        return (1 - up) * (1 - um) - up * um * np.exp(4j * c.a * k)
+        return next(_m22_terms(c.z_plus + c.z_minus, c.z_plus * c.z_minus, c.a, k))
 
 
 def m22_with_derivative(c: Couplings, k):
-    """(M_22, dM_22/dk) in closed form, vectorized over k.
+    """(M_22, dM_22/dk) in closed form, vectorized over k, from the one
+    evaluator in sigma = z_+ + z_- and pi = z_+ z_-; with u_pm = z_pm/(2ik),
+    t = i/(2k) and e = e^{4iak},
 
-    With u_pm = z_pm/(2ik), du_pm/dk = -u_pm/k, and e = e^{4iak}:
+        M_22 = (1 - u_+)(1 - u_-) - u_+ u_- e = 1 + sigma t + pi t^2 (1 - e).
 
-        M_22' = [u_+(1 - u_-) + u_-(1 - u_+) + 2 u_+ u_- e]/k - 4ia u_+ u_- e.
-
-    The first entry equals m22(c, k) bit for bit.  A non-finite k raises
-    DomainError.
+    The first entry equals m22(c, k) bit for bit; a scalar k gives two
+    np.complex128 values.  A non-finite k raises DomainError.
     """
     k = _finite_k(k, "m22_with_derivative")
     with np.errstate(all="ignore"):
-        up = c.z_plus / (2j * k)
-        um = c.z_minus / (2j * k)
-        upume = up * um * np.exp(4j * c.a * k)
-        value = (1 - up) * (1 - um) - upume
-        slope = (up * (1 - um) + um * (1 - up) + 2 * upume) / k - 4j * c.a * upume
+        value, slope = _m22_terms(c.z_plus + c.z_minus, c.z_plus * c.z_minus, c.a, k)
         return value, slope
 
 

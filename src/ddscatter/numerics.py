@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,8 +321,11 @@ def count_zeros(f, rect: ComplexRect, max_step: float = None):
     stay below 0.25 or ContourError is raised (a zero too close to the
     contour shows up as unresolvable phase steps or a non-integer
     winding).  It is also raised, before f is called, when m would
-    exceed 2**16.
+    exceed 2**16.  A max_step that is neither None nor finite and positive
+    raises DomainError.
     """
+    if max_step is not None and not (math.isfinite(max_step) and max_step > 0):
+        raise DomainError(f"max_step must be None or finite and positive, got {max_step!r}")
     # the corners in order, the first repeated: edge i runs from [i] to [i + 1]
     corners = np.array(rect.corners + rect.corners[:1])
     starts, ends = corners[:-1], corners[1:]

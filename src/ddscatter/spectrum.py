@@ -16,7 +16,14 @@ c = (|z_+|^2 + |z_-|^2 + 4 y_+ y_-)/4 and d = -(y_+ |z_-|^2 + y_- |z_+|^2)/4,
 y_+- = Im z_+-; in the PT-symmetric and antisymmetric modes it reduces
 to k^2 = (y^2 - x^2)/2 for z_+ = x + iy.  Its roots, in closed form, seed
 Newton on M_22.  Every Newton step reads M_22 and M_22' from one call of
-model.m22_with_derivative; for H, H' = M_22 + k M_22'.
+model.m22_with_derivative; for H, H' = M_22 + k M_22'.  The contours
+read model.m22 on arrays of k, Newton and the singularity residual on a
+scalar k, which returns an np.complex128.
+
+With sigma = z_+ + z_- and pi = z_+ z_-,
+F(k) = -4k^2 - 2ik sigma + pi (1 - e^{4iak}) is affine in (sigma, pi):
+couplings_with_zeros solves it backwards for couplings with prescribed
+zeros, the oracle the searches below are tested against.
 
 Bound states are searched in the square on the disc
 |k| <= (|z_+| + |z_-|)/2, which holds every zero of F with Im k >= 0
@@ -33,6 +40,7 @@ concurrent.futures is imported then, so a serial scan never loads it.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +55,7 @@ __all__ = [
     "find_spectral_singularities",
     "count_bound_states",
     "bound_state_roots",
+    "couplings_with_zeros",
     "default_bound_rect",
     "scan_region",
 ]
@@ -73,6 +82,8 @@ class ScanMode:
     def __post_init__(self):
         if self.mode not in ("antisymmetric", "pt_symmetric", "general"):
             raise DomainError(f"unknown scan mode {self.mode!r}")
+        if not cmath.isfinite(self.z_minus_fixed):
+            raise DomainError("z_minus_fixed must be finite")
 
     def couplings(self, r: float, s: float, a: float) -> Couplings:
         zp = complex(r, s) / a
@@ -221,6 +232,60 @@ def _isolate(f, fdf, step, rect, n, out, depth):
             return
 
 
+def couplings_with_zeros(ks, a, z_minus=None) -> Couplings:
+    """Couplings whose M_22 vanishes at the prescribed wave numbers.
+
+    F(k) = -4k^2 - 2ik sigma + pi (1 - e^{4iak}) = -4k^2 M_22(k) is affine
+    in sigma = z_+ + z_- and pi = z_+ z_-, so one linear solve gives them:
+
+    - one zero k, z_- given: F(k) = 0 is linear in z_+, and
+      z_+ = 2ik (2ik - z_-)/((2ik - z_-) + z_- e^{4iak});
+    - two zeros k_1, k_2: F(k_1) = 0 and the divided difference
+      F[k_1, k_2] = -4(k_1 + k_2) - 2i sigma - pi E[k_1, k_2] = 0, with
+      E[k_1, k_2] = e^{4iak_1} (e^{4ia(k_2 - k_1)} - 1)/(k_2 - k_1) formed
+      without cancellation, give (sigma, pi).  A close pair is then as
+      well posed as a distant one, and a repeated entry is the limit
+      F(k) = F'(k) = 0, a double zero.  z_pm are the roots of
+      t^2 - sigma t + pi, z_+ the one of larger modulus.
+
+    Zeros in the upper half plane are bound states, real ones spectral
+    singularities.  DomainError for a zero at k = 0 (F always vanishes
+    there), a non-finite input, z_- given with two zeros or missing with
+    one, and a singular solve.
+    """
+    ks = [complex(k) for k in ks]
+    if len(ks) not in (1, 2) or not all(cmath.isfinite(k) and k != 0 for k in ks):
+        raise DomainError("prescribe one or two finite nonzero wave numbers")
+    if not (np.isfinite(a) and a > 0):
+        raise DomainError("a must be positive and finite")
+    if (z_minus is None) != (len(ks) == 2):
+        raise DomainError("z_minus is given with one zero and only then")
+    k1, k2 = ks[0], ks[-1]
+    try:
+        e1 = cmath.exp(4j * a * k1)
+        if z_minus is not None:
+            b = 2j * k1 - z_minus
+            return Couplings(2j * k1 * b / (b + z_minus * e1), z_minus, a)
+        h = k2 - k1
+        x = 4j * a * h  # e^x - 1 by parts: expm1 of the modulus, 2 sin^2 of half the phase
+        em1 = complex(
+            math.expm1(x.real) * math.cos(x.imag) - 2 * math.sin(0.5 * x.imag) ** 2,
+            math.exp(x.real) * math.sin(x.imag),
+        )
+        de = e1 * (em1 / h if h else 4j * a)
+        # rows (sigma, pi) -> F(k_1) + 4 k_1^2 and F[k_1, k_2] + 4 (k_1 + k_2)
+        p, q, r, s = -2j * k1, 1 - e1, -2j, -de
+        u, v = 4 * k1 * k1, 4 * (k1 + k2)
+        det = p * s - q * r
+        sigma = (u * s - q * v) / det
+        pi = (p * v - r * u) / det
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"no couplings with zeros at {ks}: {exc}") from None
+    root = cmath.sqrt(sigma * sigma - 4 * pi)
+    z_plus = 0.5 * max(sigma + root, sigma - root, key=abs)
+    return Couplings(z_plus, pi / z_plus if z_plus else 0j, a)
+
+
 def _scan_cell(args):
     mode, r, s, a = args
     cell = ScanCell(r=r, s=s)
@@ -247,9 +312,11 @@ def scan_region(
 
     Cells are independent; with jobs != 1 they are computed by a process
     pool and merged by index (jobs 0 or -1: one worker per core).
-    Deterministic for given inputs.  n, a and jobs are checked before any
-    cell runs (DomainError).
+    Deterministic for given inputs.  n, a, jobs and the four range
+    endpoints are checked before any cell runs (DomainError).
     """
+    if not np.isfinite([*r_range, *s_range]).all():
+        raise DomainError("r_range and s_range endpoints must be finite")
     if n < 2:
         raise DomainError("grid size n must be at least 2")
     if not (np.isfinite(a) and a > 0):

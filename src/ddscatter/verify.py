@@ -599,6 +599,35 @@ def check_singularity_no_window():
     return ok, f"singularities {ss} at default arguments (expect [27 pi/4 = {want!r}] to 1e-10)"
 
 
+def check_prescribed_zeros():
+    # single zeros from couplings_with_zeros, located by bound_state_roots;
+    # PT points on the singularity curve x = -k cot 2ak,
+    # y = k sqrt(1 + sin^2 2ak)/|sin 2ak|, returned by find_spectral_singularities
+    rng = np.random.default_rng(31)
+    worst_bound = worst_ss = 0.0
+    for _ in range(20):
+        a = rng.uniform(0.5, 2.0)
+        k = complex(rng.uniform(-6.0, 6.0), rng.uniform(0.05, 6.0))
+        z_minus = complex(*rng.uniform(-8.0, 8.0, 2))
+        roots = spec.bound_state_roots(spec.couplings_with_zeros([k], a, z_minus))
+        worst_bound = max(worst_bound, min(abs(r - k) for r in roots) / abs(k))
+    curve = 0
+    while curve < 10:
+        a, k = rng.uniform(0.5, 2.0), rng.uniform(0.05, 6.0)
+        sin = math.sin(2 * a * k)
+        if abs(sin) < 0.1:
+            continue
+        x, y = -k * math.cos(2 * a * k) / sin, k * math.sqrt(1 + sin * sin) / abs(sin)
+        found = spec.find_spectral_singularities(Couplings(complex(x, y), complex(x, -y), a))
+        worst_ss = max(worst_ss, min((abs(r - k) / k for r in found), default=math.inf))
+        curve += 1
+    ok = worst_bound <= 1e-8 and worst_ss <= 1e-8
+    return ok, (
+        f"20 prescribed bound states: worst relative miss {worst_bound:.1e}; "
+        f"10 PT curve points: worst {worst_ss:.1e} (both <= 1e-8)"
+    )
+
+
 def check_grid_pseudo_hermiticity_weak():
     factor = _halving_factor(gridmod.weak_pseudo_hermiticity_residual)
     return factor >= 3.0, f"halving factor {factor:.2f} (>=3, weak form)"
@@ -677,6 +706,7 @@ CHECKS = {
     "hermitianize.rho_hermitization": (FULL, check_rho_hermitization),
     "model.smeared_overlap": (FULL, check_smeared_overlap),
     "spectrum.fig1_symmetry": (FULL, check_fig1_symmetry),
+    "spectrum.prescribed_zeros": (FULL, check_prescribed_zeros),
 }
 
 

@@ -8,6 +8,8 @@ eigenfunction and the smeared-overlap oracle are registry checks
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from ddscatter import (
@@ -194,6 +196,66 @@ class TestTransferMatrix:
         ks = np.array([0.5, 1.0 + 0.3j, 2.2, -1.1 + 0.05j])
         value, _ = m22_with_derivative(c, ks)
         assert np.array_equal(value, m22(c, ks))
+
+    def test_scalar_k_gives_numpy_scalars(self):
+        c = Couplings(0.2 + 0.7j, -0.4, 0.8)
+        for k in (0.5, 1.0 + 0.3j, np.float64(2.2), np.array(1.1 + 0.05j)):
+            assert type(m22(c, k)) is np.complex128
+            assert [type(v) for v in m22_with_derivative(c, k)] == [np.complex128] * 2
+        assert m22(c, [0.5]).shape == (1,)
+
+
+def m22_product_form(c, k):
+    """Independent transcription of M_22 and M_22' in the (z_+, z_-)
+    product form, u_pm = z_pm/(2ik), e = e^{4iak}:
+
+        M_22  = (1 - u_+)(1 - u_-) - u_+ u_- e,
+        M_22' = [u_+(1 - u_-) + u_-(1 - u_+) + 2 u_+ u_- e]/k - 4ia u_+ u_- e,
+
+    with the sums of the moduli of each one's terms, which bound the
+    rounding of either form."""
+    up, um = c.z_plus / (2j * k), c.z_minus / (2j * k)
+    e = np.exp(4j * c.a * k)
+    upume = up * um * e
+    value = (1 - up) * (1 - um) - upume
+    slope = (up * (1 - um) + um * (1 - up) + 2 * upume) / k - 4j * c.a * upume
+    au, am, aupume = abs(up), abs(um), abs(upume)
+    value_terms = (1 + au) * (1 + am) + aupume
+    slope_terms = (au * (1 + am) + am * (1 + au) + 2 * aupume) / abs(k) + 4 * c.a * aupume
+    return value, slope, value_terms, slope_terms
+
+
+class TestM22Evaluator:
+    """m22 and m22_with_derivative read one evaluator in sigma = z_+ + z_-
+    and pi = z_+ z_-.  An array k takes numpy's array loops, a scalar k
+    numpy-scalar arithmetic.  The two round differently where the array
+    loop of a complex product fuses its multiply-add (AVX-512 builds of
+    numpy do): at z_+ = i, z_- = 1 + i, a = 3 and k = 3 the slopes differ
+    in the last bit.  So a scalar k is held to the rounding bound, and an
+    array entry to the same bits whatever the array's length."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        z=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+        a=st.floats(0.3, 3.0),
+        re_k=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        im_k=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=3, max_size=3),
+    )
+    def test_forms_agree(self, z, a, re_k, im_k):
+        c = Couplings(complex(z[0], z[1]), complex(z[2], z[3]), a)
+        ks = np.array([complex(x, y) for x, y in zip(re_k, im_k) if abs(complex(x, y)) >= 1e-3])
+        values, slopes = m22_with_derivative(c, ks)
+        assert np.array_equal(values, m22(c, ks))
+        for i, k in enumerate(ks):
+            ref_value, ref_slope, value_terms, slope_terms = m22_product_form(c, k)
+            one = m22_with_derivative(c, ks[i : i + 1])
+            assert (one[0][0], one[1][0]) == (values[i], slopes[i])
+            value, slope = m22_with_derivative(c, complex(k))
+            assert value == m22(c, complex(k))
+            for v in (value, values[i]):
+                assert abs(v - ref_value) <= 1e-15 * value_terms
+            for s in (slope, slopes[i]):
+                assert abs(s - ref_slope) <= 1e-15 * slope_terms
 
 
 class TestKMatrix:

@@ -177,6 +177,15 @@ class TestCountZeros:
         with pytest.raises(ContourError):
             count_zeros(lambda k: k - 1.0, ComplexRect(0, 1, -1, 1))
 
+    @pytest.mark.parametrize("max_step", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_max_step_rejected(self, max_step):
+        # 0 once raised ZeroDivisionError and nan ValueError; -1 and inf
+        # silently sampled 64 points per edge
+        calls = []
+        with pytest.raises(DomainError, match="max_step"):
+            count_zeros(lambda k: calls.append(k) or k, ComplexRect(-1, 1, 0.5, 2), max_step)
+        assert calls == []
+
 
 class TestRefineRoot:
     def test_quadratic(self):
