@@ -165,8 +165,7 @@ def _energy_scale(args):
 
 def _cmd_energy(args):
     c = _couplings_from_args(args)
-    if not c.im_antisymmetric:
-        raise UnsupportedCouplingError("energy command needs Im(z_+) = -Im(z_-)")
+    herm._require_class(c)  # before --out is opened: a rejected run leaves no file
     scale = _energy_scale(args)
 
     base = {"sigma": args.sigma, "k": args.k, "x0": args.x0}

@@ -62,8 +62,12 @@ def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0
     exp(-(t-x0)^2/2 sigma^2)) stays bounded for any phase.  Every
     exponent has a non-positive real part, so cmath.exp can only
     underflow, and that quietly gives 0; the unbounded squares are
-    products, as in the profiles below.  DomainError unless packet is a
-    GaussianPacket, lo and hi are not nan and phase is finite.
+    products, as in the profiles below.  When both ends lie on one side
+    of x0 (an infinite end on its own side), the integral is the
+    difference of the two end terms without their limits +-pref, which
+    would cancel and take a far tail's digits with them.  DomainError
+    unless packet is a GaussianPacket, lo and hi are not nan and phase is
+    finite.
     """
     import scipy.special
 
@@ -76,19 +80,27 @@ def gaussian_segment_integral(packet: GaussianPacket, lo, hi, phase: float = 0.0
     amp = packet._norm * s * math.sqrt(math.pi / 2)
     pref = amp * cmath.exp(1j * kap * x0 - kap * kap * s**2 / 2)
 
-    def pref_times_end(t):
-        if t == math.inf:
-            return pref
-        if t == -math.inf:
-            return -pref
+    def tail(t):
+        # the end term less its limit +-pref on t's side of x0: 0 at +-inf
+        if math.isinf(t):
+            return 0j
         w = (t - x0 - 1j * kap * s**2) / (_SQRT2 * s)
         # pref * exp(-w^2), combined analytically (bounded for all kap)
         e_t = amp * cmath.exp(1j * kap * t - (t - x0) * (t - x0) / (2 * s**2))
         # complex() keeps the arithmetic in Python complex, not numpy scalars
-        if w.real >= 0:
-            return pref - e_t * complex(scipy.special.wofz(1j * w))
-        return e_t * complex(scipy.special.wofz(-1j * w)) - pref
+        if t >= x0:
+            return -(e_t * complex(scipy.special.wofz(1j * w)))
+        return e_t * complex(scipy.special.wofz(-1j * w))
 
+    def pref_times_end(t):
+        if math.isinf(t):
+            return pref if t > 0 else -pref
+        return pref + tail(t) if t >= x0 else tail(t) - pref
+
+    if (lo >= x0) == (hi >= x0):
+        # both ends on one side of x0: the limits cancel exactly, so the
+        # tails keep the digits their difference would lose
+        return tail(hi) - tail(lo)
     return pref_times_end(hi) - pref_times_end(lo)
 
 
@@ -106,9 +118,13 @@ class EnergyBreakdown:
 
 
 def _require_class(c: Couplings):
+    """The one guard of the bounded class: UnsupportedCouplingError unless
+    c.im_antisymmetric.  The equivalent Hermitian kernels and energies
+    here, metric.eta1_bounded and the energy command all call it."""
     if not c.im_antisymmetric:
         raise UnsupportedCouplingError(
-            "equivalent Hermitian construction needs Im(z_+) = -Im(z_-)"
+            "the bounded metric and the equivalent Hermitian construction need "
+            f"Im(z_+) = -Im(z_-); got Im(z_+) = {c.z_plus.imag}, Im(z_-) = {c.z_minus.imag}"
         )
 
 
@@ -310,15 +326,18 @@ def w_fn(a: float, sigma: float, x0: float) -> float:
 
     Every exponent is nonpositive, so nothing overflows at large
     |x0|/sigma, and x0 -> -x0 swaps the two terms: W is even in x0
-    exactly, not just to rounding.
+    exactly, not just to rounding, and is summed at |x0|.  A bracket with
+    a negative argument is the difference erfc(|neg|) - erfc(pos), which
+    keeps the digits the erf sum cancels, so W is accurate in its tail too.
     """
     a, sigma, x0 = _require_profile_args(a, sigma, x0, "x0")
     s = _SQRT2 * sigma
-
-    def part(u, v):
-        return math.exp(-(u / s) * (u / s)) * (math.erf(u / s) + math.erf(v / s))
-
-    return part(a + x0, 3 * a - x0) + part(a - x0, 3 * a + x0)
+    x0 = abs(x0)
+    p, q = (a + x0) / s, (3 * a - x0) / s
+    m, r = (a - x0) / s, (3 * a + x0) / s
+    near = math.erf(p) + math.erf(q) if q >= 0 else math.erfc(-q) - math.erfc(p)
+    far = math.erf(m) + math.erf(r) if m >= 0 else math.erfc(-m) - math.erfc(r)
+    return math.exp(-p * p) * near + math.exp(-m * m) * far
 
 
 def energy_gaussian(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:

@@ -32,7 +32,7 @@ from .kernels import (
     _require_packets,
     hermitian_completion,
 )
-from .hermitianize import gaussian_segment_integral
+from .hermitianize import _require_class, gaussian_segment_integral
 from .model import Couplings, _psi_raw, k_matrix
 from .numerics import QuadratureSpec, integrate_1d, matrix_inv_sqrt
 
@@ -64,11 +64,7 @@ def eta1_bounded(c: Couplings) -> DistributionalKernel:
     constructed outside that class).  The regular part is purely
     imaginary, antisymmetric under x <-> y, and bounded by |Im z_+|/2.
     """
-    if not c.im_antisymmetric:
-        raise UnsupportedCouplingError(
-            "bounded first-order metric exists only for Im(z_+) = -Im(z_-); "
-            f"got Im(z_+)={c.z_plus.imag}, Im(z_-)={c.z_minus.imag}"
-        )
+    _require_class(c)
     lam = c.z_plus.imag
     coeff = 0.5j * lam
     s = KernelPrimitive("sign", "x-y")

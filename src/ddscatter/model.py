@@ -6,7 +6,9 @@ the nondimensionalization map, the exact scattering eigenfunctions, the
 transfer matrix, and the 2x2 overlap matrix K between the conjugated and
 original eigenfamilies.  The entry M_22 and its k-derivative come from one
 evaluator in sigma = z_+ + z_- and pi = z_+ z_- (m22, m22_with_derivative):
-a scalar k gives np.complex128 values, an array k arrays.
+a scalar k gives np.complex128 values, an array k arrays.  One check on
+k serves both and the transfer matrix: a k that is not finite, or is 0,
+raises DomainError.
 
 Conventions: theta(0) = 1/2 and sign(0) = 0 throughout.
 """
@@ -176,28 +178,28 @@ def _single_delta_matrix(z, c, k):
 
 
 def transfer_matrix(c: Couplings, k):
-    """Left-to-right transfer matrix M = M_{+a}(z_+) M_{-a}(z_-); det M = 1."""
-    k = complex(k)
-    if not cmath.isfinite(k):
-        raise DomainError("transfer_matrix requires a finite k")
-    if k == 0:
-        raise DomainError("transfer matrix singular at k = 0")
+    """Left-to-right transfer matrix M = M_{+a}(z_+) M_{-a}(z_-); det M = 1.
+    k is a scalar, checked as by m22."""
+    k = complex(_finite_k(k, "transfer_matrix"))
     return _single_delta_matrix(c.z_plus, c.a, k) @ _single_delta_matrix(c.z_minus, -c.a, k)
 
 
 def _finite_k(k, name):
     """k as a numpy complex scalar when it is 0-d, else as a complex
-    ndarray; DomainError when an entry is not finite."""
+    ndarray: the one check on k of M_22 and the transfer matrix.
+    DomainError when an entry is not finite or is 0, the pole of both."""
     k = np.asarray(k, dtype=complex)
     if k.ndim == 0:
         # one Newton step: scalar arithmetic costs a fraction of a 0-d
         # array's, and cmath checks it in a fifth of numpy's time
         k = k[()]
-        finite = cmath.isfinite(k)
+        finite, nonzero = cmath.isfinite(k), k != 0
     else:
-        finite = np.isfinite(k).all()
+        finite, nonzero = np.isfinite(k).all(), np.count_nonzero(k) == k.size
     if not finite:
         raise DomainError(f"{name} requires a finite k")
+    if not nonzero:
+        raise DomainError(f"{name} is singular at k = 0")
     return k
 
 
@@ -227,12 +229,12 @@ def m22(c: Couplings, k):
     an array of its shape.
 
     Zeros on the real axis are spectral singularities; zeros in the upper
-    half plane are bound states (E = k^2).  A non-finite k raises
-    DomainError.
+    half plane are bound states (E = k^2).  A k that is not finite, or is
+    0, raises DomainError.  No floating-point state is set here: far below
+    the real axis e^{4iak} overflows, and numpy warns of it.
     """
     k = _finite_k(k, "m22")
-    with np.errstate(all="ignore"):  # stray probes below the real axis overflow harmlessly
-        return next(_m22_terms(c.z_plus + c.z_minus, c.z_plus * c.z_minus, c.a, k))
+    return next(_m22_terms(c.z_plus + c.z_minus, c.z_plus * c.z_minus, c.a, k))
 
 
 def m22_with_derivative(c: Couplings, k):
@@ -243,12 +245,11 @@ def m22_with_derivative(c: Couplings, k):
         M_22 = (1 - u_+)(1 - u_-) - u_+ u_- e = 1 + sigma t + pi t^2 (1 - e).
 
     The first entry equals m22(c, k) bit for bit; a scalar k gives two
-    np.complex128 values.  A non-finite k raises DomainError.
+    np.complex128 values.  k is checked as by m22.
     """
     k = _finite_k(k, "m22_with_derivative")
-    with np.errstate(all="ignore"):
-        value, slope = _m22_terms(c.z_plus + c.z_minus, c.z_plus * c.z_minus, c.a, k)
-        return value, slope
+    value, slope = _m22_terms(c.z_plus + c.z_minus, c.z_plus * c.z_minus, c.a, k)
+    return value, slope
 
 
 def k_matrix(c: Couplings, k: float):

@@ -133,14 +133,25 @@ def integrate_1d(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
             kwargs["points"] = pts
     with np.errstate(all="ignore"):
         val, err = scipy.integrate.quad(f, lo, hi, **kwargs)
-    bound = abs(err)
-    if bound > max(spec.abs_tol, spec.rel_tol * abs(val)) * 50:
+    return _verdict(val, abs(err), spec, "quadrature")
+
+
+def _tolerance(value, spec):
+    """The error bound that spec asks of an estimate: max(abs_tol, rel_tol |value|)."""
+    return max(spec.abs_tol, spec.rel_tol * abs(value))
+
+
+def _verdict(value, bound, spec, rule):
+    """The last estimate of a quadrature rule, judged: accepted while its
+    error bound is within 50 times _tolerance, else QuadratureError with
+    the estimate and the bound."""
+    if bound > _tolerance(value, spec) * 50:
         raise QuadratureError(
-            f"quadrature error bound {bound:.3e} exceeds tolerance for value {val!r}",
-            estimate=val,
+            f"{rule} error bound {bound:.3e} exceeds tolerance for value {value!r}",
+            estimate=value,
             error_bound=bound,
         )
-    return val
+    return value
 
 
 # 12 nodes on panels four length scales wide integrate a Gaussian packet
@@ -180,9 +191,8 @@ def _converge(rule, base_panels):
     are added until |Q_h - Q_{h/2}| meets _PANEL_SPEC; Q_{h/2} is returned.
 
     Once another halving would put more than max_subdivisions panels on
-    one line, the last estimate is judged as integrate_1d judges
-    QUADPACK's: accepted up to 50 times the tolerance, QuadratureError
-    beyond (an infinite bound if only one level fit).
+    one line, the last estimate gets integrate_1d's _verdict (an infinite
+    bound if only one level fit).
     """
     spec = _PANEL_SPEC
     value, bound, level = rule(0), np.inf, 0
@@ -190,15 +200,9 @@ def _converge(rule, base_panels):
         level += 1
         finer = rule(level)
         bound, value = abs(finer - value), finer
-        if bound <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+        if bound <= _tolerance(value, spec):
             return value
-    if bound > max(spec.abs_tol, spec.rel_tol * abs(value)) * 50:
-        raise QuadratureError(
-            f"panel quadrature error bound {bound:.3e} exceeds tolerance for value {value!r}",
-            estimate=value,
-            error_bound=bound,
-        )
-    return value
+    return _verdict(value, bound, spec, "panel quadrature")
 
 
 def integrate_panels(f, cuts, h):
@@ -268,7 +272,8 @@ def refine_root(fdf, seed):
     |f| <= 1e-10 max(1, |f'| |k|); raises NoConvergenceError after 100
     steps, when that residual is missed, or at once when f'(k) = 0 or an
     iterate, f(k) or f'(k) is not finite (a non-finite iterate before fdf
-    is called there).
+    is called there).  fdf runs under np.errstate(all="ignore"), so an
+    iterate where f overflows ends in that error, not in a warning.
     """
     k = complex(seed)
     with np.errstate(all="ignore"):

@@ -15,7 +15,8 @@ zero is checked, stored, multiplied and decomposed as a real array: H0 and
 the generators are kept real, and H1, its Hermitian and anti-Hermitian
 parts and H0 + H1 are built once per instance, real when exactly real.
 Every commutator, each of a Hermitian or anti-Hermitian matrix with a
-Hermitian one, comes from one product.  eta and rho come from one eigh
+Hermitian one, comes from one product.  Both orders are one gauged
+solve of [H0, Q] = source (_solve_gauged).  eta and rho come from one eigh
 of -(Q1 + Q2), which a QExpansion caches: QExpansion.eta and
 conjugated_h read it.  Every public function still returns complex arrays.
 """
@@ -45,6 +46,7 @@ __all__ = [
     "conjugated_h",
     "map_observable",
     "eta_from_q",
+    "third_order_residuals",
 ]
 
 _HERM_TOL = 1e-12
@@ -231,29 +233,45 @@ def _solve_sylvester_diag(energies, rhs, coupling_tol):
     return Q
 
 
+def _solve_gauged(p, source, weight, tol, unsolvable, order):
+    """Hermitian Q with [H0, Q] = weight * source, its diagonal zero in the
+    H0 eigenbasis: the solve of both orders.
+
+    Every bound scales with the norm of the (anti-)Hermitian source, not of
+    weight * source.  Its diagonal above tol times its eigenbasis norm
+    raises `unsolvable`, and a commutator residual above
+    1e-10 max(1, ||source||) InconsistencyError.  A weight of 1 makes no copy.
+    """
+    E, V = p._eigenbasis
+    S = _to_eig(V, source)
+    scale = max(1.0, np.linalg.norm(S))
+    if np.max(np.abs(np.diag(S))) > tol * scale:
+        raise unsolvable
+    Q = _solve_sylvester_diag(E, S if weight == 1 else weight * S, coupling_tol=tol * scale)
+    Q = _from_eig(V, Q)
+    Q = 0.5 * (Q + Q.conj().T)  # symmetrize roundoff
+    resid = np.linalg.norm(_h0_commutator(p, Q) - (source if weight == 1 else weight * source))
+    if resid > 1e-10 * max(1.0, np.linalg.norm(source)):
+        raise InconsistencyError(f"{order} commutator residual {resid:.2e}")
+    return np.asarray(Q, dtype=complex)
+
+
 def solve_q1(p: PerturbedOperator) -> np.ndarray:
     """First-order generator: [H0, Q1] = -2 H1_antihermitian.
 
     In the H0 eigenbasis Q1_mn = -2 (H1_ah)_mn / (E_m - E_n) off the
     diagonal, zero on it.  Requires the anti-Hermitian diagonal to vanish
     (otherwise the spectrum is complex at first order and no metric
-    exists).
+    exists): NonQuasiHermitianError.
     """
-    E, V = p._eigenbasis
-    h1_ah = p.h1_antihermitian
-    A = _to_eig(V, h1_ah)
-    scale = max(1.0, np.linalg.norm(A))
-    if np.max(np.abs(np.diag(A))) > _DIAG_TOL * scale:
-        raise NonQuasiHermitianError(
+    return _solve_gauged(
+        p, p.h1_antihermitian, -2.0, _DIAG_TOL,
+        NonQuasiHermitianError(
             "anti-Hermitian perturbation has nonzero diagonal in the H0 "
             "eigenbasis: complex first-order energies, not quasi-Hermitian"
-        )
-    Q1 = _from_eig(V, _solve_sylvester_diag(E, -2.0 * A, coupling_tol=_DIAG_TOL * scale))
-    Q1 = 0.5 * (Q1 + Q1.conj().T)  # symmetrize roundoff
-    resid = np.linalg.norm(_h0_commutator(p, Q1) + 2 * h1_ah)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(h1_ah)):
-        raise InconsistencyError(f"first-order commutator residual {resid:.2e}")
-    return np.asarray(Q1, dtype=complex)
+        ),
+        "first-order",
+    )
 
 
 def solve_q2(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
@@ -266,24 +284,17 @@ def solve_q2(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
 
     Solvable only when diag(R) vanishes in the H0 eigenbasis; a nonzero
     diagonal equals -2i Im(second-order energy shift) and signals
-    breakdown of quasi-Hermiticity at second order.
+    breakdown of quasi-Hermiticity at second order: InconsistencyError.
     """
     q1 = _require_hermitian(q1, "Q1")
-    R = _commutator_hermitian(q1, p.h1_hermitian)
-    E, V = p._eigenbasis
-    R_eig = _to_eig(V, R)
-    scale = max(1.0, np.linalg.norm(R_eig))
-    if np.max(np.abs(np.diag(R_eig))) > _SOLVE_TOL * scale:
-        raise InconsistencyError(
+    return _solve_gauged(
+        p, _commutator_hermitian(q1, p.h1_hermitian), 1, _SOLVE_TOL,
+        InconsistencyError(
             "second-order solvability violated: diag of R nonzero "
             "(quasi-Hermiticity breaks down at second order)"
-        )
-    Q2 = _from_eig(V, _solve_sylvester_diag(E, R_eig, coupling_tol=_SOLVE_TOL * scale))
-    Q2 = 0.5 * (Q2 + Q2.conj().T)
-    resid = np.linalg.norm(_h0_commutator(p, Q2) - R)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(R)):
-        raise InconsistencyError(f"second-order commutator residual {resid:.2e}")
-    return np.asarray(Q2, dtype=complex)
+        ),
+        "second-order",
+    )
 
 
 def equivalent_h(p: PerturbedOperator, q1: np.ndarray) -> np.ndarray:
@@ -414,13 +425,23 @@ def run_instance(payload: dict) -> dict:
     h = equivalent_h(p, q1)
     q = QExpansion(q1, q2)
     eta = q.eta()
-    P = eta @ p.total  # eta H - H^dag eta = P - P^dag for Hermitian eta
-    hc = conjugated_h(p, q)
+    eta_resid, h_resid = third_order_residuals(p, q, eta)
     return {
         "q1": matrix_to_json(q1),
         "q2": matrix_to_json(q2),
         "equivalent_h": matrix_to_json(h),
         "eta": matrix_to_json(eta),
-        "pseudo_hermiticity_residual": float(np.linalg.norm(P - P.conj().T)),
-        "conjugated_h_antihermitian_residual": float(np.linalg.norm(hc - hc.conj().T)),
+        "pseudo_hermiticity_residual": eta_resid,
+        "conjugated_h_antihermitian_residual": h_resid,
     }
+
+
+def third_order_residuals(p: PerturbedOperator, q: QExpansion, eta: np.ndarray):
+    """(||eta H - H^dag eta||, ||hc - hc^dag||) as floats, with eta =
+    q.eta() and hc = conjugated_h(p, q): the two residuals of the
+    expansion, both O(z^3)."""
+    P = eta @ p.total  # eta H - H^dag eta = P - P^dag for Hermitian eta
+    eta_resid = float(np.linalg.norm(P - P.conj().T))
+    del P
+    hc = conjugated_h(p, q)
+    return eta_resid, float(np.linalg.norm(hc - hc.conj().T))

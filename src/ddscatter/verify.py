@@ -516,9 +516,7 @@ def check_perturbation_scalings():
         q1 = pert.solve_q1(p)
         q2 = pert.solve_q2(p, q1)
         q = pert.QExpansion(q1, q2)  # one eigh of -(Q1 + Q2) serves rho and eta
-        h = pert.conjugated_h(p, q)
-        P = q.eta() @ p.total  # eta H - H^dag eta = P - P^dag
-        return np.linalg.norm(h - h.conj().T), np.linalg.norm(P - P.conj().T)
+        return pert.third_order_residuals(p, q, q.eta())
 
     fh = fe = np.inf
     rel = 0.0
@@ -529,8 +527,8 @@ def check_perturbation_scalings():
         (solvable_instance, 77),
     ):
         p = make(6, 1e-2, seed)
-        h1, e1 = resid(p)
-        h2, e2 = resid(make(6, 5e-3, seed))
+        e1, h1 = resid(p)
+        e2, h2 = resid(make(6, 5e-3, seed))
         fh, fe = min(fh, h1 / h2), min(fe, e1 / e2)
         if make is solvable_instance:
             rel = max(rel, h1 / np.linalg.norm(p.h0))

@@ -284,6 +284,51 @@ class TestProfiles:
 
 # The numpy-scalar expressions u_fn, v_fn and gaussian_segment_integral
 # were first written with, kept as the oracles of their float/cmath forms.
+def _w_oracle(a, sigma, x0):
+    """W summed as w_fn's docstring writes it, in mpmath at a working
+    precision 20 digits above log10(1/W).  The erf sum cancels in mpmath
+    as in floats, so the precision starts from the smaller exponent and
+    is raised until it covers the W it gives."""
+    import mpmath
+
+    dps = 30 + int(min(a + x0, abs(a - x0)) ** 2 / (2 * sigma**2) / math.log(10))
+    while True:
+        with mpmath.workdps(dps):
+            a_, s_, x_ = mpmath.mpf(a), mpmath.mpf(sigma), mpmath.mpf(x0)
+            r = mpmath.sqrt(2) * s_
+
+            def part(u, v):
+                return mpmath.exp(-(u / r) ** 2) * (mpmath.erf(u / r) + mpmath.erf(v / r))
+
+            w = part(a_ + x_, 3 * a_ - x_) + part(a_ - x_, 3 * a_ + x_)
+            need = 20 + (int(mpmath.ceil(-mpmath.log10(w))) if w > 0 else dps)
+            if dps > need:
+                return float(w)
+        dps = need + 10
+
+
+# W is about 10^-L at x0 = a + sigma sqrt(L ln 10), beyond the packet's
+# overlap with the windows: the tail, where the erf sum cancels
+_W_TAIL = [(a, s, a + s * math.sqrt(L * math.log(10)))
+           for a in (0.5, 1.0, 2.0) for s in (0.05, 0.3, 1.5, 4.0) for L in (30, 150, 290)]
+_W_TAIL += [(0.5, 0.05, 1.0), (0.5, 0.1, 2.875)]
+
+
+class TestWTail:
+    """W's nonlocal part keeps its digits where W is tiny: within 1e-12
+    relative of the mpmath oracle wherever W > 1e-300, from w_fn and from
+    energy_gaussian at k0 = 0 (lambda^2 W/(4 sqrt2) with lambda = 1).  The
+    erf sum alone gave 7.4e-196 at (0.5, 0.05, 1), where W = 2.9e-45."""
+
+    @pytest.mark.parametrize("a, sigma, x0", _W_TAIL)
+    def test_w_matches_oracle(self, a, sigma, x0):
+        w = _w_oracle(a, sigma, x0)
+        assert w > 1e-300
+        assert abs(w_fn(a, sigma, x0) - w) <= 1e-12 * w
+        nonlocal_part = energy_gaussian(Couplings(1j, -1j, a), GaussianPacket(sigma, 0.0, x0)).nonlocal_part
+        assert abs(nonlocal_part * 4 * math.sqrt(2.0) - w) <= 1e-12 * w
+
+
 def _u_numpy(a, sigma, k):
     a, sigma, k = np.float64(a), np.float64(sigma), np.float64(k)
     w1 = (1j * k * sigma**2 + 3 * a) / (np.sqrt(2.0) * sigma)
@@ -306,17 +351,23 @@ def _segment_numpy(packet, lo, hi, phase):
     amp = np.pi ** (-0.25) / np.sqrt(s) * s * np.sqrt(np.pi / 2)
     pref = amp * np.exp(1j * kap * x0 - kap**2 * s**2 / 2)
 
-    def end(t):
-        if np.isposinf(t):
-            return pref
-        if np.isneginf(t):
-            return -pref
+    def tail(t):
+        # the end term less its limit +-pref on t's side of x0: 0 at +-inf
+        if np.isinf(t):
+            return 0.0
         w = (t - x0 - 1j * kap * s**2) / (np.sqrt(2.0) * s)
         e_t = amp * np.exp(1j * kap * t - (t - x0) ** 2 / (2 * s**2))
-        if w.real >= 0:
-            return pref - e_t * scipy.special.wofz(1j * w)
-        return e_t * scipy.special.wofz(-1j * w) - pref
+        if t >= x0:
+            return -e_t * scipy.special.wofz(1j * w)
+        return e_t * scipy.special.wofz(-1j * w)
 
+    def end(t):
+        if np.isinf(t):
+            return pref if t > 0 else -pref
+        return pref + tail(t) if t >= x0 else tail(t) - pref
+
+    if (lo >= x0) == (hi >= x0):  # one side of x0: the limits cancel
+        return complex(tail(hi) - tail(lo))
     return complex(end(hi) - end(lo))
 
 

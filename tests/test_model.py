@@ -177,8 +177,12 @@ class TestTransferMatrix:
             assert abs(m22(c, k) - transfer_matrix(c, k)[1, 1]) < 1e-13
 
     def test_k_zero_rejected(self):
-        with pytest.raises(DomainError):
-            transfer_matrix(Couplings(0.1, 0.1, 1.0), 0.0)
+        # the pole of M_22: m22 and m22_with_derivative once returned nan+nanj
+        c = Couplings(0.1, 0.2, 1.0)
+        for fn in (transfer_matrix, m22, m22_with_derivative):
+            for k in (0.0, np.array([0.5, 0.0, 1.0 + 0.2j])):
+                with pytest.raises(DomainError, match="k = 0"):
+                    fn(c, k)
 
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("fn", [transfer_matrix, m22, m22_with_derivative])

@@ -7,6 +7,7 @@ bound energies) is the registry check ``spectrum.hermitian_row``."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from ddscatter import (
     find_spectral_singularities,
     m22,
     m22_with_derivative,
+    refine_root,
     scan_region,
 )
 from ddscatter import spectrum as spectrum_mod
@@ -194,6 +196,42 @@ class TestNewtonDerivatives:
     def test_match_central_difference(self, mode, r, s, z_minus_re, z_minus_im, a, re_k, im_k):
         c = ScanMode(mode, complex(z_minus_re, z_minus_im)).couplings(r, s, a)
         assert max(central_difference_misfit(c, complex(re_k, im_k))) <= 1.0
+
+
+class TestNoFloatingPointState:
+    """m22 and m22_with_derivative set no numpy error state: Newton runs
+    inside refine_root's, and the bound-state contours sample only
+    Im k >= K_MIN_CUT, where |e^{4iak}| <= 1 and k != 0."""
+
+    def test_far_below_the_axis_warns(self):
+        c = Couplings(0.3 + 0.2j, -0.3 - 0.2j, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m22(c, 0.3 - 300j)
+        assert any("overflow" in str(w.message) for w in caught)
+
+    def test_newton_from_far_below_the_axis_is_quiet(self):
+        # every iterate from this seed overflows e^{4iak}
+        c = Couplings(0.3 + 0.2j, -0.3 - 0.2j, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                root = refine_root(lambda k: m22_with_derivative(c, k), 0.3 - 300j)
+            except NoConvergenceError:
+                return
+        assert abs(m22(c, root)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "mode, r, s",
+        [(ScanMode("pt_symmetric"), -1.0, 0.5), (ScanMode("antisymmetric"), 0.8, 0.3),
+         (ScanMode("general", 0.3 - 0.2j), -1.2, 0.3)],
+        ids=["pt", "antisymmetric", "general"],
+    )
+    def test_bound_state_roots_are_quiet(self, mode, r, s):
+        c = mode.couplings(r, s, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bound_state_roots(c)
 
 
 class TestBoundStates:
