@@ -62,7 +62,6 @@ from .model import (
     m22,
     m22_with_derivative,
     nondimensionalize,
-    psi_conj_eval,
     psi_eval,
     smeared_overlap_check,
     transfer_matrix,

@@ -3,15 +3,16 @@
 A finite-difference double-delta Hamiltonian with Gaussian-regularized
 point interactions, Nystrom sampling of distributional kernels, and the
 pseudo-Hermiticity residual of the sampled first-order metric, measured
-both in the Frobenius norm and weakly against smooth packets.
+both in the Frobenius norm and weakly against smooth packets.  The X/P
+commutator check samples x_kernel and p_kernel themselves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitianize import GaussianPacket
-from .kernels import regular_part_grid
+from .hermitianize import GaussianPacket, p_kernel, x_kernel
+from .kernels import _ARG_COEFFS, _factor_values, regular_part_grid
 from .metric import eta1_bounded
 from .model import Couplings
 
@@ -125,8 +126,6 @@ def rho_hermitization_weak_residual(c: Couplings):
 
 def discretized_position(c: Couplings, x):
     """Pseudo-Hermitian position operator sampled on the grid."""
-    from .hermitianize import x_kernel
-
     h = x[1] - x[0]
     X1 = regular_part_grid(x_kernel(c), x, x) * h
     return np.diag(x.astype(complex)) + X1
@@ -134,20 +133,24 @@ def discretized_position(c: Couplings, x):
 
 def discretized_momentum(c: Couplings, x):
     """Pseudo-Hermitian momentum operator on the grid: central-difference
-    -i d/dx plus the first-order antidiagonal Dirac terms regularized as
-    Gaussians of width 0.1 (needed only for the weak commutator check)."""
+    -i d/dx plus p_kernel(c)'s first-order terms, their Dirac factors
+    regularized as Gaussians of width 0.1 (for the weak commutator check)."""
     n = len(x)
     h = x[1] - x[0]
     D1 = (np.diag(np.full(n - 1, 1.0), 1) - np.diag(np.full(n - 1, 1.0), -1)) / (2 * h)
     P = -1j * D1.astype(complex)
-    lam = c.z_plus.imag
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    s = np.sign(X - Y)
-    P1 = (lam / 2) * s * (
-        gaussian_delta(X + Y + 2 * c.a, _P_DELTA_WIDTH)
-        - gaussian_delta(X + Y - 2 * c.a, _P_DELTA_WIDTH)
-    )
-    return P + P1 * h
+    X, Y = x[:, None], x[None, :]
+    for t in p_kernel(c).terms:
+        v = t.coefficient
+        for f in t.factors:
+            cx, cy = _ARG_COEFFS[f.argument]
+            u = cx * X + cy * Y + f.shift
+            if f.kind == "dirac":
+                v = v * gaussian_delta(u, _P_DELTA_WIDTH)
+            else:
+                v = v * _factor_values(f.kind, u, np.sign(u), f.rate)
+        P = P + v * h
+    return P
 
 
 def xp_commutator_weak_residual(c: Couplings):

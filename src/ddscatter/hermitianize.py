@@ -248,14 +248,11 @@ def energy_quadrature(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
     _require_class(c)
     a = c.a
     kinetic = _kinetic(packet)
-    local = (
-        c.z_plus.real * abs(packet(a)) ** 2 + c.z_minus.real * abs(packet(-a)) ** 2
-    )
+    at_p, at_m = packet(a), packet(-a)
+    local = c.z_plus.real * abs(at_p) ** 2 + c.z_minus.real * abs(at_m) ** 2
     int_m, int_p = _windows(packet, a)
     lam2 = c.z_plus.imag ** 2
-    nonloc = (lam2 / 4) * (
-        np.conj(packet(-a)) * int_m + np.conj(packet(a)) * int_p
-    ).real
+    nonloc = (lam2 / 4) * (np.conj(at_m) * int_m + np.conj(at_p) * int_p).real
     return EnergyBreakdown(kinetic, local, nonloc)
 
 
@@ -355,15 +352,12 @@ def energy_gaussian(c: Couplings, packet: GaussianPacket) -> EnergyBreakdown:
     _require_class(c)
     a = c.a
     kinetic = packet.k0**2 + 1.0 / (2 * packet.sigma**2)
-    local = (
-        c.z_plus.real * abs(packet(a)) ** 2 + c.z_minus.real * abs(packet(-a)) ** 2
-    )
+    at_p, at_m = packet(a), packet(-a)
+    local = c.z_plus.real * abs(at_p) ** 2 + c.z_minus.real * abs(at_m) ** 2
     int_m = gaussian_segment_integral(packet, -a, 3 * a)
     int_p = gaussian_segment_integral(packet, -3 * a, a)
     lam2 = c.z_plus.imag ** 2
-    nonloc = (lam2 / 4) * (
-        np.conj(packet(-a)) * int_m + np.conj(packet(a)) * int_p
-    ).real
+    nonloc = (lam2 / 4) * (np.conj(at_m) * int_m + np.conj(at_p) * int_p).real
     return EnergyBreakdown(float(kinetic), float(local), float(nonloc))
 
 

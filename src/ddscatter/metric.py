@@ -34,7 +34,7 @@ from .kernels import (
 )
 from .hermitianize import _require_class, gaussian_segment_integral
 from .model import Couplings, _psi_raw, k_matrix
-from .numerics import QuadratureSpec, integrate_1d, matrix_inv_sqrt
+from .numerics import QuadratureSpec, _quad, integrate_1d, matrix_inv_sqrt
 
 __all__ = [
     "AppendixAParams",
@@ -119,9 +119,6 @@ class AppendixAParams:
     @property
     def z_minus(self) -> complex:
         return self.r_minus * (1 + 1j * self.eps_minus)
-
-    def couplings(self) -> Couplings:
-        return Couplings(self.z_plus, self.z_minus, self.a)
 
 
 def eta1_appendixA(p: AppendixAParams) -> DistributionalKernel:
@@ -233,14 +230,19 @@ def appendixA_weighted_overlap(p: AppendixAParams, g) -> complex:
     return integrate_1d(lambda k: f(k) + f(-k), 1e-9, np.inf, _SPECTRAL_SPEC)
 
 
+def _require_inm_index(n, m):
+    """DomainError unless (n, m) indexes the I_{n,m} family."""
+    if n not in (0, 1, 2) or m not in (1, 2, 3):
+        raise DomainError("inm defined for n in 0..2, m in 1..3")
+
+
 def inm(n: int, m: int, alpha: float):
     """Closed form of I_{n,m}(alpha) = (1/2pi) int k^{2-n} e^{ik alpha}
     (1+k^2)^{-m} dk as (delta_coefficient, regular_part).
 
     Only (n, m) = (0, 1) carries a Dirac delta(alpha) part.
     """
-    if n not in (0, 1, 2) or m not in (1, 2, 3):
-        raise DomainError("inm defined for n in 0..2, m in 1..3")
+    _require_inm_index(n, m)
     aa = abs(alpha)
     e = np.exp(-aa)
     if m == 1:
@@ -258,26 +260,13 @@ def inm(n: int, m: int, alpha: float):
     return (0.0, vals[n])
 
 
-def _quiet_quad(*args, **kwargs):
-    """The I_{n,m} oracle's own QUADPACK call: QAWF's cos/sin weight is not
-    an integrate_1d option.  Error bounds <= 2.7e-13 on verify's INM_POINTS."""
-    import warnings
-
-    import scipy.integrate
-
-    with warnings.catch_warnings():
-        # QAWF flags slow cycles on the conditionally convergent cases but
-        # still converges to the requested accuracy here
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        return scipy.integrate.quad(*args, **kwargs)[0]
-
-
 def inm_quadrature(n: int, m: int, alpha: float):
     """Regular part of I_{n,m} by quadrature, independent of the closed
     forms.  Even n: cosine transform; odd n: sine transform; the (0,1)
-    delta part is removed analytically before integrating."""
-    if n not in (0, 1, 2) or m not in (1, 2, 3):
-        raise DomainError("inm defined for n in 0..2, m in 1..3")
+    delta part is removed analytically before integrating.  QAWF's cos/sin
+    weight is not an integrate_1d option: the estimate of numerics._quad
+    is kept (bounds <= 2.7e-13 on verify's INM_POINTS)."""
+    _require_inm_index(n, m)
 
     if (n, m) == (0, 1):
         # k^2/(1+k^2) = 1 - 1/(1+k^2); the 1 is the delta, integrate the rest
@@ -290,13 +279,13 @@ def inm_quadrature(n: int, m: int, alpha: float):
     if alpha == 0.0:
         if n % 2 == 1:
             return 0.0
-        val = _quiet_quad(base, 0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-13)
+        val, _ = _quad(base, 0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-13)
         return val / np.pi
 
     if n % 2 == 0:
-        val = _quiet_quad(base, 0, np.inf, weight="cos", wvar=alpha, limit=400, epsabs=1e-13)
+        val, _ = _quad(base, 0, np.inf, weight="cos", wvar=alpha, limit=400, epsabs=1e-13)
         return val / np.pi
-    val = _quiet_quad(base, 0, np.inf, weight="sin", wvar=alpha, limit=400, epsabs=1e-13)
+    val, _ = _quad(base, 0, np.inf, weight="sin", wvar=alpha, limit=400, epsabs=1e-13)
     return 1j * val / np.pi
 
 
@@ -314,8 +303,7 @@ def u_inverse_sqrt_route(c: Couplings, k: float):
     """
     K = k_matrix(c, k)
     U = matrix_inv_sqrt(K)
-    c_conj = Couplings(np.conj(c.z_plus), np.conj(c.z_minus), c.a)
-    U_conj = matrix_inv_sqrt(k_matrix(c_conj, k))
+    U_conj = matrix_inv_sqrt(k_matrix(c.conjugate(), k))
     resid = np.linalg.norm(U_conj.conj().T @ K @ U - np.eye(2))
     if resid > _U_ROUTE_TOL:
         raise DomainError(f"normalization residual {resid:.2e} exceeds {_U_ROUTE_TOL:.1e}")

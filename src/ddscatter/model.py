@@ -4,11 +4,12 @@ Dimensionless Hamiltonian H = -d^2/dx^2 + z_+ delta(x-a) + z_- delta(x+a)
 with complex couplings z_+- and half-separation a > 0.  This module holds
 the nondimensionalization map, the exact scattering eigenfunctions, the
 transfer matrix, and the 2x2 overlap matrix K between the conjugated and
-original eigenfamilies.  The entry M_22 and its k-derivative come from one
-evaluator in sigma = z_+ + z_- and pi = z_+ z_- (m22, m22_with_derivative):
-a scalar k gives np.complex128 values, an array k arrays.  One check on
-k serves both and the transfer matrix: a k that is not finite, or is 0,
-raises DomainError.
+original eigenfamilies; Couplings.conjugate gives the conjugated model.
+The entry M_22 and its k-derivative come from one evaluator in sigma =
+z_+ + z_- and pi = z_+ z_- (m22, m22_with_derivative): a scalar k gives
+np.complex128 values, an array k arrays.  One check on k serves both and
+the transfer matrix, which takes a scalar k only: a k that is not
+finite, or is 0, raises DomainError.
 
 Conventions: theta(0) = 1/2 and sign(0) = 0 throughout.
 """
@@ -30,7 +31,6 @@ __all__ = [
     "dimensionalize",
     "theta",
     "psi_eval",
-    "psi_conj_eval",
     "transfer_matrix",
     "m22",
     "m22_with_derivative",
@@ -87,6 +87,10 @@ class Couplings:
         """True when Im(z_+) = -Im(z_-), the class with a bounded metric."""
         scale = max(1.0, abs(self.z_plus), abs(self.z_minus))
         return abs(self.z_plus.imag + self.z_minus.imag) <= 1e-12 * scale
+
+    def conjugate(self) -> "Couplings":
+        """The conjugated model, z_pm -> conj(z_pm): the one such map."""
+        return Couplings(np.conj(self.z_plus), np.conj(self.z_minus), self.a)
 
 
 @dataclass(frozen=True)
@@ -155,14 +159,6 @@ def psi_eval(c: Couplings, s: ScatteringBranch, x):
     return out
 
 
-def psi_conj_eval(c: Couplings, s: ScatteringBranch, x):
-    """Eigenfunction of the conjugated model: z_pm replaced by conj(z_pm)."""
-    out = _psi_raw(np.conj(c.z_plus), np.conj(c.z_minus), s.signed_k, c.a, x)
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
-
-
 def _single_delta_matrix(z, c, k):
     """Transfer matrix of one delta of strength z at position c: the
     derivative jump psi'(c+) - psi'(c-) = z psi(c) in (A, B) amplitude
@@ -179,8 +175,11 @@ def _single_delta_matrix(z, c, k):
 
 def transfer_matrix(c: Couplings, k):
     """Left-to-right transfer matrix M = M_{+a}(z_+) M_{-a}(z_-); det M = 1.
-    k is a scalar, checked as by m22."""
-    k = complex(_finite_k(k, "transfer_matrix"))
+    k is a scalar, checked as by m22; an array k raises DomainError."""
+    k = _finite_k(k, "transfer_matrix")
+    if np.ndim(k) != 0:
+        raise DomainError("transfer_matrix takes a scalar k, not an array")
+    k = complex(k)
     return _single_delta_matrix(c.z_plus, c.a, k) @ _single_delta_matrix(c.z_minus, -c.a, k)
 
 
@@ -285,26 +284,22 @@ def smeared_overlap_check(c: Couplings, k0: float, q0: float, width: float):
 
     nodes, wts = np.polynomial.legendre.leggauss(80)
 
-    def packets(center, conjugated):
+    def packets(center, couplings):
         lo, hi = center - 6 * width, center + 6 * width
         ks = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * wts * np.exp(-((ks - center) ** 2) / (2 * width**2))
-        if conjugated:
-            zp, zm = np.conj(c.z_plus), np.conj(c.z_minus)
-        else:
-            zp, zm = c.z_plus, c.z_minus
 
         def eval_pair(x):
             # returns (branch1, branch2) smeared amplitudes at x, vectorized
             xs = np.asarray(x, dtype=float)[..., None]
-            f1 = _psi_raw(zp, zm, ks, c.a, xs)
-            f2 = _psi_raw(zp, zm, -ks, c.a, xs)
+            f1 = _psi_raw(couplings.z_plus, couplings.z_minus, ks, couplings.a, xs)
+            f2 = _psi_raw(couplings.z_plus, couplings.z_minus, -ks, couplings.a, xs)
             return f1 @ ws, f2 @ ws
 
         return eval_pair
 
-    bra = packets(k0, conjugated=True)
-    ket = packets(q0, conjugated=False)
+    bra = packets(k0, c.conjugate())
+    ket = packets(q0, c)
 
     # envelope exp(-width^2 x^2 / 2): integrate where it is > 1e-14
     xmax = 8.5 / width

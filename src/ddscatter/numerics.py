@@ -5,7 +5,8 @@ Gauss-Legendre panels for integrands smooth between given breakpoints,
 principal inverse square root of 2x2 matrices, complex Newton
 refinement, and argument-principle zero counting on rectangular
 contours.  Everything here is pure and reentrant.  scipy is imported
-only by integrate_1d, so importing the package does not load it.
+only by _quad, the one QUADPACK call, so importing the package does not
+load it.
 
 ``count_zeros`` takes an array-callable ``f``: it maps a complex ndarray
 to a complex ndarray of the same shape, and the contour's points are
@@ -110,16 +111,29 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
+def _quad(f, lo, hi, **kwargs):
+    """(value, error bound) of scipy.integrate.quad, the package's one
+    QUADPACK call; no floating-point warning or IntegrationWarning leaves
+    it, whatever the filters, and the caller judges the bound.  The
+    filters are the process's own, swapped for the call's duration."""
+    import warnings
+
+    import scipy.integrate
+
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        return scipy.integrate.quad(f, lo, hi, **kwargs)
+
+
 def integrate_1d(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
     """Adaptive quadrature of a complex-valued integrand on (lo, hi).
 
     ``points`` lists interior locations of integrable singularities or
     discontinuities declared by the caller.  Infinite endpoints are
     supported (mapped internally by QUADPACK); ``points`` is honoured only
-    on finite intervals, as in QUADPACK.
+    on finite intervals, as in QUADPACK.  No IntegrationWarning is
+    passed on: the result is judged by _verdict's 50-tolerance rule.
     """
-    import scipy.integrate
-
     finite = np.isfinite(lo) and np.isfinite(hi)
     kwargs = dict(
         epsabs=spec.abs_tol,
@@ -131,8 +145,7 @@ def integrate_1d(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, points=None):
         pts = sorted(p for p in points if lo < p < hi)
         if pts:
             kwargs["points"] = pts
-    with np.errstate(all="ignore"):
-        val, err = scipy.integrate.quad(f, lo, hi, **kwargs)
+    val, err = _quad(f, lo, hi, **kwargs)
     return _verdict(val, abs(err), spec, "quadrature")
 
 

@@ -100,8 +100,7 @@ def check_k_matrix_identities():
         )
         k = float(rng.uniform(0.2, 4.0))
         K = modelmod.k_matrix(c, k)
-        c_conj = Couplings(np.conj(c.z_plus), np.conj(c.z_minus), c.a)
-        Kc = modelmod.k_matrix(c_conj, k)
+        Kc = modelmod.k_matrix(c.conjugate(), k)
         worst_h = max(worst_h, np.abs(Kc.conj().T - K).max())
         worst_t = max(worst_t, abs(K[1, 0] - _k12_direct(c, -k)))
     ok = worst_h <= 1e-12 and worst_t <= 1e-12
@@ -167,8 +166,27 @@ def check_hermitian_limit_psi():
         (Couplings(0.5, -0.8, 1.2), ScatteringBranch(1, 0.7), 9),
     ):
         xs = np.linspace(-4, 4, n)
-        d = max(d, np.max(np.abs(modelmod.psi_eval(c, s, xs) - modelmod.psi_conj_eval(c, s, xs))))
+        diff = modelmod.psi_eval(c, s, xs) - modelmod.psi_eval(c.conjugate(), s, xs)
+        d = max(d, np.max(np.abs(diff)))
     return d == 0.0, f"max diff {d:.2e}"
+
+
+def check_conjugate_eigenfunction():
+    # for real k and x, conj(psi_{1,k}) of the model is psi_{2,k} of the
+    # conjugated model: the one map z_pm -> conj(z_pm) builds that family
+    rng = np.random.default_rng(41)
+    xs = np.linspace(-4, 4, 50)
+    worst = 0.0
+    for _ in range(200):
+        c = Couplings(
+            complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()),
+            float(rng.uniform(0.3, 2.5)),
+        )
+        k = float(rng.uniform(0.2, 4.0))
+        want = np.conj(modelmod.psi_eval(c, ScatteringBranch(1, k), xs))
+        got = modelmod.psi_eval(c.conjugate(), ScatteringBranch(2, k), xs)
+        worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    return worst <= 1e-13, f"worst relative diff {worst:.2e} (<=1e-13) over 200 couplings"
 
 
 # ------------------------------------------------------------------ metric
@@ -282,8 +300,7 @@ def check_u_route():
     for c in (Couplings(0.05j, 0.05j, 1.0), Couplings(0.1, 0.2, 1.0), Couplings(0.2 + 0.1j, -0.1 + 0.05j, 0.7)):
         U = metricmod.u_inverse_sqrt_route(c, 1.0)
         K = modelmod.k_matrix(c, 1.0)
-        c_conj = Couplings(np.conj(c.z_plus), np.conj(c.z_minus), c.a)
-        Uc = metricmod.u_inverse_sqrt_route(c_conj, 1.0)
+        Uc = metricmod.u_inverse_sqrt_route(c.conjugate(), 1.0)
         worst = max(worst, np.linalg.norm(Uc.conj().T @ K @ U - np.eye(2)))
     return worst <= 1e-10, f"worst residual {worst:.2e}"
 
@@ -678,6 +695,7 @@ CHECKS = {
     "model.psi_continuity": (FAST, check_psi_continuity),
     "model.transfer_asymptotics": (FAST, check_transfer_asymptotics),
     "model.hermitian_limit": (FAST, check_hermitian_limit_psi),
+    "model.conjugate_eigenfunction": (FAST, check_conjugate_eigenfunction),
     "metric.sign_identity": (FAST, check_sign_identity),
     "metric.form_equivalence": (FAST, check_eta_form_equivalence),
     "metric.eta1_spot_values": (FAST, check_eta1_spot_values),

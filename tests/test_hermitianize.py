@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from ddscatter import (
     Couplings,
+    DistributionalKernel,
     DomainError,
     GaussianPacket,
+    KernelTerm,
     QuadratureError,
     QuadratureSpec,
     UnsupportedCouplingError,
@@ -34,9 +36,10 @@ from ddscatter import (
     w_fn,
     x_kernel,
 )
-from ddscatter import numerics
+from ddscatter import grid, numerics
 from ddscatter.hermitianize import gaussian_segment_integral
 from ddscatter.numerics import integrate_1d
+from ddscatter.verify import CHECKS
 
 C_ANTISYM = Couplings(0.3 + 0.2j, -0.3 - 0.2j, 1.0)
 C_GENERAL = Couplings(0.25 + 0.2j, 0.4 - 0.2j, 1.0)
@@ -463,3 +466,17 @@ class TestObservableKernels:
             x_kernel(Couplings(0.1j, 0.2j, 1.0))
         with pytest.raises(UnsupportedCouplingError):
             p_kernel(Couplings(0.1j, 0.2j, 1.0))
+
+    def test_grid_momentum_reads_p_kernel(self, monkeypatch):
+        # the grid's P takes its first-order terms from p_kernel, so a
+        # coefficient 1.5 times too large there breaks [X, P] = i + O(z^2)
+        real = p_kernel
+
+        def scaled(c):
+            kern = real(c)
+            terms = tuple(KernelTerm(1.5 * t.coefficient, t.factors) for t in kern.terms)
+            return DistributionalKernel(momentum_flag=kern.momentum_flag, terms=terms)
+
+        monkeypatch.setattr(grid, "p_kernel", scaled)
+        ok, detail = CHECKS["hermitianize.xp_commutator"][1]()
+        assert not ok, detail

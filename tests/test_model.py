@@ -22,7 +22,6 @@ from ddscatter import (
     m22,
     m22_with_derivative,
     nondimensionalize,
-    psi_conj_eval,
     psi_eval,
     transfer_matrix,
     u_inverse_sqrt_route,
@@ -146,15 +145,16 @@ class TestPsiConj:
     def test_plane_wave_inside(self):
         c = Couplings(0.5j, 0.2j, 1.0)
         s = ScatteringBranch(1, 1.0)
-        assert abs(psi_conj_eval(c, s, 0.3) - np.exp(0.3j) / np.sqrt(2 * np.pi)) < 1e-15
+        assert abs(psi_eval(c.conjugate(), s, 0.3) - np.exp(0.3j) / np.sqrt(2 * np.pi)) < 1e-15
 
     def test_substitution_identity(self):
-        # conjugated-model eigenfunction == psi of the conjugated couplings
+        # conjugate() is the couplings' conjugate, a kept, bit for bit
         c = Couplings(0.1j, 0.4 - 0.2j, 1.0)
-        cc = Couplings(np.conj(c.z_plus), np.conj(c.z_minus), c.a)
+        cc = Couplings(c.z_plus.conjugate(), c.z_minus.conjugate(), c.a)
+        assert c.conjugate() == cc
         s = ScatteringBranch(1, 1.0)
         for x in (2.0, -3.0, 0.4):
-            assert psi_conj_eval(c, s, x) == psi_eval(cc, s, x)
+            assert psi_eval(c.conjugate(), s, x) == psi_eval(cc, s, x)
 
 
 class TestTransferMatrix:
@@ -183,6 +183,12 @@ class TestTransferMatrix:
             for k in (0.0, np.array([0.5, 0.0, 1.0 + 0.2j])):
                 with pytest.raises(DomainError, match="k = 0"):
                     fn(c, k)
+
+    @pytest.mark.parametrize("k", [np.array([0.5, 1.0]), np.array([0.5])])
+    def test_array_k_rejected(self, k):
+        # an array k once reached complex() and raised an untyped TypeError
+        with pytest.raises(DomainError, match="scalar k"):
+            transfer_matrix(Couplings(0.1, 0.2, 1.0), k)
 
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("fn", [transfer_matrix, m22, m22_with_derivative])

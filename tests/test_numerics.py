@@ -56,10 +56,11 @@ class TestIntegrate1d:
         v = integrate_1d(lambda x: abs(x) ** -0.5 if x != 0 else 0.0, -1.0, 1.0, points=[0.0])
         assert abs(v - 4.0) < 1e-9
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     def test_budget_exhausted(self):
         # one QUADPACK interval cannot resolve 40 periods: its bound is far
-        # beyond 50 tolerances, and the error carries the estimate and bound
+        # beyond 50 tolerances, and the error carries the estimate and bound,
+        # even where QUADPACK's own warning would be raised as an error
         spec = QuadratureSpec(max_subdivisions=1)
         with pytest.raises(QuadratureError) as info:
             integrate_1d(lambda x: 1.0 + np.cos(80.0 * x), 0.0, np.pi, spec)

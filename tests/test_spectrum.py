@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 import ddscatter
 from ddscatter import (
     ComplexRect,
+    ContourError,
     Couplings,
     DomainError,
     NoConvergenceError,
@@ -307,6 +308,29 @@ class TestBoundStates:
             except Exception:
                 continue  # zero hugging the contour: not this property's concern
             assert len(bound_state_roots(c)) == total
+
+    def test_zero_on_the_split_line_is_resplit(self, monkeypatch):
+        # the first split of this box at depth 40 cuts at Re k = -1 + 0.517 * 2,
+        # through a zero: that count raises ContourError, and the retry
+        # splits elsewhere and locates both zeros
+        rect = ComplexRect(-1.0, 1.0, 0.1, 1.1)
+        k1, k2 = complex(-1.0 + 0.517 * 2.0, 0.6), 0.5 + 0.4j
+        f = lambda k: (k - k1) * (k - k2)
+        fdf = lambda k: (f(k), 2 * k - k1 - k2)
+        raised = []
+
+        def counting(*args):
+            try:
+                return count_zeros(*args)
+            except ContourError:
+                raised.append(args[1])
+                raise
+
+        monkeypatch.setattr(spectrum_mod, "count_zeros", counting)
+        roots = []
+        spectrum_mod._isolate(f, fdf, None, rect, 2, roots, depth=40)
+        assert raised and raised[0].re_max == k1.real
+        assert located(roots, k1) and located(roots, k2) and len(roots) == 2
 
 
 def located(roots, k):
