@@ -3,8 +3,11 @@
 A finite-difference double-delta Hamiltonian with Gaussian-regularized
 point interactions, Nystrom sampling of distributional kernels, and the
 pseudo-Hermiticity residual of the sampled first-order metric, measured
-both in the Frobenius norm and weakly against smooth packets.  The X/P
-commutator check samples x_kernel and p_kernel themselves.
+both in the Frobenius norm and weakly against smooth packets.  H is one
+(diagonal, off-diagonal) pair: discretized_hamiltonian builds the dense
+matrix from it, and the residuals apply it to eta as a three-point
+stencil and take ||H||_F from it.  The X/P commutator check samples
+x_kernel and p_kernel themselves.
 """
 
 from __future__ import annotations
@@ -55,21 +58,32 @@ def gaussian_delta(t, width: float):
 def discretized_hamiltonian(c: Couplings, x):
     """-d^2/dx^2 (three-point stencil) + complex deltas regularized as
     Gaussians of width 0.05."""
-    n, h = len(x), x[1] - x[0]
-    K = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+    d, t = _hamiltonian_stencil(c, x)
+    n = len(x)
+    H = np.diag(np.asarray(d, dtype=complex))
+    i = np.arange(n - 1)
+    H[i, i + 1] = H[i + 1, i] = t
+    return H
+
+
+def _hamiltonian_stencil(c, x):
+    """H's diagonal, 2/h^2 plus the regularized deltas, and its constant
+    off-diagonal -1/h^2: the one description of the discretized H."""
+    h = x[1] - x[0]
     v = c.z_plus * gaussian_delta(x - c.a, _H_DELTA_WIDTH) + c.z_minus * gaussian_delta(
         x + c.a, _H_DELTA_WIDTH
     )
-    return K.astype(complex) + np.diag(v)
+    return 2 / h**2 + v, -1 / h**2
 
 
 def sampled_metric(c: Couplings, x):
     """eta = I + eta1 sampled: Nystrom matrix of the bounded first-order
     metric kernel on the grid (quadrature weight h per column)."""
     h = x[1] - x[0]
-    kern = eta1_bounded(c)
-    E1 = regular_part_grid(kern, x, x) * h
-    return np.eye(len(x)) + E1
+    eta = regular_part_grid(eta1_bounded(c), x, x)
+    eta *= h
+    np.fill_diagonal(eta, eta.diagonal() + 1.0)
+    return eta
 
 
 def pseudo_hermiticity_residual(c: Couplings):
@@ -80,36 +94,47 @@ def pseudo_hermiticity_residual(c: Couplings):
     leaves lattice-artifact patterns whose Frobenius norm is linear in
     the coupling; see the weak variant for the O(z^2) statement.
     """
-    _, H, R = _residual_operator(c)
-    return np.linalg.norm(R) / np.linalg.norm(H)
+    _, h_norm, P = _eta_h(c)
+    return np.linalg.norm(P - P.conj().T) / h_norm
 
 
 def weak_pseudo_hermiticity_residual(c: Couplings):
     """max |<u|(eta H - H^dag eta)|v>| over a fixed family of smooth
     normalized packets: the weak-form realization of the first-order
-    pseudo-Hermiticity relation, O(z^2) up to discretization."""
-    x, _, R = _residual_operator(c)
-    return _weak_norm(R, x)
+    pseudo-Hermiticity relation, O(z^2) up to discretization.
+
+    eta H - H^dag eta = P - P^dag with P = eta H (eta is Hermitian), so
+    the packet matrix elements are M - M^dag with M = V^dag P V."""
+    x, _, P = _eta_h(c)
+    V = _test_vectors(x)
+    M = V.conj().T @ P @ V
+    return np.abs(M - M.conj().T).max()
 
 
-def _operators(c):
-    """The 400-point grid x, the discretized H and the sampled eta."""
+def _eta_h(c):
+    """Grid x, ||H||_F and P = eta H on the 400-point grid, H applied as
+    its three-point stencil: (eta H)_ij = eta_ij d_j + t (eta_i,j-1 +
+    eta_i,j+1)."""
     x, _ = uniform_grid()
-    return x, discretized_hamiltonian(c, x), sampled_metric(c, x)
+    d, t = _hamiltonian_stencil(c, x)
+    eta = sampled_metric(c, x)
+    P = eta * d
+    P[:, 1:] += t * eta[:, :-1]
+    P[:, :-1] += t * eta[:, 1:]
+    h_norm = np.sqrt(np.vdot(d, d).real + 2 * (len(d) - 1) * t * t)
+    return x, h_norm, P
 
 
-def _residual_operator(c):
-    """Grid x, the discretized H and R = eta H - H^dag eta, formed as
-    P - P^dag with P = eta H."""
-    x, H, eta = _operators(c)
-    P = eta @ H
-    return x, H, P - P.conj().T
+def _test_vectors(x):
+    """The test packets on the grid x, normalized, as columns."""
+    V = np.stack([p(x) for p in _TEST_PACKETS], axis=1)
+    V /= np.linalg.norm(V, axis=0)
+    return V
 
 
 def _weak_norm(R, x):
     """max |<u|R|v>| over the normalized test packets u, v on the grid x."""
-    V = np.stack([p(x) for p in _TEST_PACKETS], axis=1)
-    V /= np.linalg.norm(V, axis=0)
+    V = _test_vectors(x)
     return np.abs(V.conj().T @ R @ V).max()
 
 
@@ -117,7 +142,8 @@ def rho_hermitization_weak_residual(c: Couplings):
     """Weak anti-Hermitian residual of rho H rho^{-1} with rho the
     principal square root of the sampled metric: O(z^2) realization of
     the similarity transform to the equivalent Hermitian operator."""
-    x, H, eta = _operators(c)
+    x, _ = uniform_grid()
+    H, eta = discretized_hamiltonian(c, x), sampled_metric(c, x)
     w, W = np.linalg.eigh(eta)  # eta is Hermitian: rho^{+-1} = W w^{+-1/2} W^dag
     s, Wh = np.sqrt(w), W.conj().T
     h = (W * s) @ Wh @ H @ (W / s) @ Wh

@@ -532,7 +532,7 @@ def check_perturbation_scalings():
     def resid(p):
         q1 = pert.solve_q1(p)
         q2 = pert.solve_q2(p, q1)
-        q = pert.QExpansion(q1, q2)  # one eigh of -(Q1 + Q2) serves rho and eta
+        q = pert.QExpansion(q1, q2)  # eta and rho, each from a Taylor polynomial of -(Q1 + Q2)
         return pert.third_order_residuals(p, q, q.eta())
 
     fh = fe = np.inf

@@ -29,6 +29,10 @@ FIG4_SHA256 = "46fe0df2f3768f3a0489c34f5233e0371d638650e14cfabdf377a8eb7fd6a818"
 # closed-form value or to the quadrature oracle's abs_diff changes it
 README_ENERGY_SHA256 = "f3b1915a00dc7ff8deb3055a916751783d1cd886194be71bef5cdcd695fb3918"
 
+# SHA-256 of the README verify --perturbation instance's .out.json; any
+# change to a written matrix or residual changes it
+README_PERTURBATION_SHA256 = "e927e3fc3aa4b95c7e8c3d6d451891ccaadddcaa4a618ae1a997d468b8c87bbb"
+
 # SHA-256 of the README's two kernel dumps (--grid=-3:3:121) and their
 # term lists; any change to a printed value or a term changes them
 README_KERNEL_DUMPS = {
@@ -376,6 +380,18 @@ class TestVerifyCommand:
         q1 = matrix_from_json(result["q1"])
         assert np.linalg.norm(q1 - q1.conj().T) < 1e-12
         assert result["pseudo_hermiticity_residual"] < 1e-4
+
+    def test_readme_perturbation_output_digest(self, tmp_path):
+        # the README's two-level instance, written as the README writes it
+        path = tmp_path / "instance.json"
+        path.write_text(
+            '{"h0": [[0.0, 0.0], [0.0, 1.0]],\n'
+            '       "generators": [[[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]],\n'
+            '       "couplings": [[0.0, 0.01]]}\n'
+        )
+        assert main(["verify", "--perturbation", str(path)]) == 0
+        out = Path(str(path) + ".out.json")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == README_PERTURBATION_SHA256
 
     def test_perturbation_output_is_compact_json_of_result(self, tmp_path):
         from ddscatter.perturbation import matrix_to_json, run_instance

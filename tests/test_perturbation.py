@@ -5,6 +5,8 @@ first-order and two-forms identities are registry checks
 (``perturbation.*`` in ``ddscatter.verify.CHECKS``)."""
 
 import json
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -29,7 +31,13 @@ from ddscatter import (
 from ddscatter.grid import discretized_hamiltonian, uniform_grid
 from ddscatter.kernels import regular_part_grid
 from ddscatter.metric import eta1_bounded
-from ddscatter.perturbation import _exp_pair, matrix_from_json, matrix_to_json, run_instance
+from ddscatter.perturbation import (
+    _THETA_12,
+    _exp_pair,
+    matrix_from_json,
+    matrix_to_json,
+    run_instance,
+)
 from ddscatter.verify import check_perturbation_scalings, solvable_instance
 
 
@@ -207,16 +215,12 @@ class TestEtaAndObservables:
             assert (v.conj() @ eta @ v).real > 0
 
     def test_exponential_pair_of_real_matrix_inverts(self):
-        # a real eigenvector matrix V is its own V.conj(): the adjoint
-        # taken for exp(A) must not see the scaling for exp(-A), and V,
-        # which a QExpansion caches, must come back unwritten
+        # a real A gives a real pair, each factor the other's inverse
         rng = np.random.default_rng(36)
         B = rng.normal(size=(6, 6))
-        w, V = np.linalg.eigh(0.1 * (B + B.T))
-        kept = V.copy()
-        exp_a, exp_minus_a = _exp_pair(w, V)
+        exp_a, exp_minus_a = _exp_pair(0.1 * (B + B.T))
+        assert exp_a.dtype == exp_minus_a.dtype == float
         assert np.linalg.norm(exp_a @ exp_minus_a - np.eye(6)) <= 1e-12
-        assert np.array_equal(V, kept)
 
     def test_expansion_rejects_non_hermitian_q(self):
         q = np.zeros((3, 3))
@@ -261,6 +265,65 @@ class TestEtaAndObservables:
             return np.linalg.norm(O.conj().T - eta @ O @ np.linalg.inv(eta))
 
         assert resid(1e-2) / resid(5e-3) >= 6.0
+
+
+def oracle_exp_pair(A, t=1.0):
+    """(V e^{tw} V^dag, V e^{-tw} V^dag) from one eigh of the Hermitian A:
+    the route eta and rho were first computed by, kept as the oracle for
+    the Taylor polynomial that replaced it."""
+    w, V = np.linalg.eigh(A)
+    Vh = V.conj().T
+    return (V * np.exp(t * w)) @ Vh, (V * np.exp(-t * w)) @ Vh
+
+
+class TestExponentials:
+    """_exp_pair, the one route to eta^{+-1} and rho^{+-1}."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        n=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+        # 0.2, 0.5, 1, 2, 4 and 8 take eta through s = 0 to 5 squarings,
+        # and rho through 0 to 4
+        norm=st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0]) | st.floats(0.0, 9.0),
+        complex_q=st.booleans(),
+    )
+    def test_matches_eigh_oracle(self, n, seed, norm, complex_q):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n, n))
+        if complex_q:
+            M = M + 1j * rng.normal(size=(n, n))
+        Q = (M + M.conj().T) / 2
+        Q *= norm / np.linalg.norm(Q, 1)
+        got = _exp_pair(-Q) + _exp_pair(-Q / 2)
+        want = oracle_exp_pair(-Q) + oracle_exp_pair(-Q, 0.5)
+        for g, w in zip(got, want):
+            assert g.dtype == Q.dtype
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+        if norm == 0.0:
+            assert all(np.array_equal(g, np.eye(n)) for g in got)
+
+    def test_theta_is_the_degree_12_backward_error_bound(self):
+        # log(e^-x T(x)) = sum_{k>12} c_k x^k for the degree-12 Taylor
+        # polynomial T, in exact arithmetic to x^50: r = e^-x T(x) - 1
+        # starts at x^13, so log(1 + r) needs r, r^2 and r^3
+        K = 50
+        r = [sum(Fraction((-1) ** (k - j), factorial(k - j) * factorial(j))
+                 for j in range(min(k, 12) + 1)) for k in range(K + 1)]
+        r[0] = Fraction(0)
+
+        def times(a, b):
+            return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(K + 1)]
+
+        r2 = times(r, r)
+        r3 = times(r2, r)
+        c = [r[k] - r2[k] / 2 + r3[k] / 3 for k in range(K + 1)]
+        assert not any(c[:13]) and c[13] != 0
+
+        def bound(theta):
+            return sum(abs(float(c[k])) * theta ** (k - 1) for k in range(13, K + 1))
+
+        assert bound(_THETA_12) <= 2.0**-53 < bound(1.001 * _THETA_12)
 
 
 class TestBasisAndArithmetic:
@@ -365,6 +428,40 @@ class TestBoundary:
             PerturbedOperator(h0, tuple(gens), (0.01, z))
 
     @pytest.mark.parametrize(
+        "case",
+        [
+            "equivalent_h-shape",
+            "equivalent_h-non-hermitian",
+            "conjugated_h-shape",
+            "solve_q2-shape",
+            "map_observable-shape",
+            "map_observable-non-hermitian",
+            "map_observable-nan",
+        ],
+    )
+    def test_q_that_does_not_fit_rejected(self, case):
+        # a Q of another shape than the instance, not Hermitian or not
+        # finite is outside the domain of every function that takes one
+        p = solvable_instance(3, 1e-2, 51)
+        small = np.zeros((2, 2))
+        skew = np.zeros((3, 3))
+        skew[0, 1] = 1.0
+        nan = np.zeros((3, 3))
+        nan[1, 1] = np.nan
+        o = np.diag([1.0, 2.0, 3.0])
+        calls = {
+            "equivalent_h-shape": lambda: equivalent_h(p, small),
+            "equivalent_h-non-hermitian": lambda: equivalent_h(p, skew),
+            "conjugated_h-shape": lambda: conjugated_h(p, QExpansion(small, small)),
+            "solve_q2-shape": lambda: solve_q2(p, small),
+            "map_observable-shape": lambda: map_observable(o, small, small),
+            "map_observable-non-hermitian": lambda: map_observable(o, skew, np.zeros((3, 3))),
+            "map_observable-nan": lambda: map_observable(o, nan, np.zeros((3, 3))),
+        }
+        with pytest.raises(DomainError, match=r"shape|Hermitian|non-finite"):
+            calls[case]()
+
+    @pytest.mark.parametrize(
         "rows",
         [
             [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],  # ragged row
@@ -442,22 +539,22 @@ class TestCost:
         conjugated_h(p, QExpansion(q1, q2))
         return len(calls)
 
-    def test_three_eigendecompositions(self, monkeypatch):
-        # one for H0 (shared by both orders), one per exponential pair
+    def test_rotated_h0_is_the_only_decomposition(self, monkeypatch):
+        # one eigh of H0, shared by both orders; eta and rho come from a
+        # Taylor polynomial of -(Q1 + Q2), with no decomposition of Q
         p, _ = rotated(solvable_instance(8, 1e-2, 60), 60)
-        assert self._count_eigh(monkeypatch, p) == 3
+        assert self._count_eigh(monkeypatch, p) == 1
 
     def test_diagonal_h0_needs_no_decomposition(self, monkeypatch):
-        # a diagonal H0 is its own eigenbasis: one eigh per exponential pair
+        # a diagonal H0 is its own eigenbasis, and Q is never decomposed
         p = solvable_instance(8, 1e-2, 60)
-        assert self._count_eigh(monkeypatch, p) == 2
+        assert self._count_eigh(monkeypatch, p) == 0
         E, V = p.h0_eigh
         assert np.array_equal(E, np.diag(p.h0).real) and np.array_equal(V, np.eye(8))
 
-    @pytest.mark.parametrize("rotate, want", [(False, 1), (True, 2)], ids=["diagonal", "rotated"])
-    def test_run_instance_decomposes_q_once(self, monkeypatch, rotate, want):
-        # eta and rho come from one eigh of -(Q1 + Q2), plus one for a
-        # rotated H0
+    @pytest.mark.parametrize("rotate, want", [(False, 0), (True, 1)], ids=["diagonal", "rotated"])
+    def test_run_instance_decomposes_no_q(self, monkeypatch, rotate, want):
+        # no eigh of Q for eta or rho; one of a rotated H0
         p = solvable_instance(8, 1e-2, 60)
         if rotate:
             p, _ = rotated(p, 60)
@@ -470,13 +567,12 @@ class TestCost:
         run_instance(payload)
         assert len(calls) == want
 
-    def test_scalings_check_decomposes_q_once_per_instance(self, monkeypatch):
-        # 8 diagonal-H0 instances, each read for eta and rho from one
-        # QExpansion: one eigh apiece
+    def test_scalings_check_decomposes_no_q(self, monkeypatch):
+        # 8 diagonal-H0 instances, each read for eta and rho: no eigh
         calls = self._counted_eigh(monkeypatch)
         ok, detail = check_perturbation_scalings()
         assert ok, detail
-        assert len(calls) == 8
+        assert len(calls) == 0
 
     def test_expansion_eta_is_eta_from_q(self):
         p = solvable_instance(8, 1e-2, 60)
