@@ -7,7 +7,8 @@ both in the Frobenius norm and weakly against smooth packets.  H is one
 (diagonal, off-diagonal) pair: discretized_hamiltonian builds the dense
 matrix from it, and the residuals apply it to eta as a three-point
 stencil and take ||H||_F from it.  The X/P commutator check samples
-x_kernel and p_kernel themselves.
+x_kernel and p_kernel themselves, every regular factor through the
+kernels evaluator (regular_part_grid), P's Dirac factors as Gaussians.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermitianize import GaussianPacket, p_kernel, x_kernel
-from .kernels import _ARG_COEFFS, _factor_values, regular_part_grid
+from .kernels import _ARG_COEFFS, DistributionalKernel, KernelTerm, regular_part_grid
 from .metric import eta1_bounded
 from .model import Couplings
 
@@ -159,22 +160,20 @@ def discretized_position(c: Couplings, x):
 
 def discretized_momentum(c: Couplings, x):
     """Pseudo-Hermitian momentum operator on the grid: central-difference
-    -i d/dx plus p_kernel(c)'s first-order terms, their Dirac factors
-    regularized as Gaussians of width 0.1 (for the weak commutator check)."""
+    -i d/dx plus p_kernel(c)'s first-order terms, each its regular part
+    sampled by regular_part_grid times its Dirac factors regularized as
+    Gaussians of width 0.1 (for the weak commutator check)."""
     n = len(x)
     h = x[1] - x[0]
     D1 = (np.diag(np.full(n - 1, 1.0), 1) - np.diag(np.full(n - 1, 1.0), -1)) / (2 * h)
     P = -1j * D1.astype(complex)
     X, Y = x[:, None], x[None, :]
     for t in p_kernel(c).terms:
-        v = t.coefficient
-        for f in t.factors:
+        regular = DistributionalKernel(terms=(KernelTerm(t.coefficient, t.regular_factors),))
+        v = regular_part_grid(regular, x, x)
+        for f in t.dirac_factors:
             cx, cy = _ARG_COEFFS[f.argument]
-            u = cx * X + cy * Y + f.shift
-            if f.kind == "dirac":
-                v = v * gaussian_delta(u, _P_DELTA_WIDTH)
-            else:
-                v = v * _factor_values(f.kind, u, np.sign(u), f.rate)
+            v = v * gaussian_delta(cx * X + cy * Y + f.shift, _P_DELTA_WIDTH)
         P = P + v * h
     return P
 

@@ -11,17 +11,18 @@ symbolic lets Dirac factors be integrated out exactly when pairing with
 wave functions, instead of sampling distributions on a grid.
 
 Every value goes through one evaluator (_TermArrays) and its one factor
-table.  Pairings integrate Dirac factors out exactly and integrate what
-remains with composite Gauss-Legendre panels (the numerics panel rule)
-piece by piece: on the cells and line segments cut out by the factors'
-kink lines, where the integrands (smooth wave functions times
-exp(-rate |u|), |u|, signs and steps) are smooth.  On a piece each
-factor's argument keeps one sign, so signs and steps are evaluated once
-per piece, and a piece on which the terms cancel identically is skipped.
-They pair GaussianPackets, which own the box that bounds every packet
-integral: x0 +- B sigma, with B set by the panel tolerance (8 at 1e-10).
-Plane panels start at the narrower packet's scale, line panels at the
-scale of the two packets' product.
+table: point values, grids, the grid module's momentum operator, and the
+pairings' integrands, where a piece is the evaluator with its factors'
+signs fixed.  Pairings integrate Dirac factors out exactly and the rest
+with composite Gauss-Legendre panels (the numerics panel rule) piece by
+piece, on the cells and line segments cut out by the factors' kink
+lines, where the integrands are smooth.  On a piece signs and steps
+fold into the coefficients once, and a piece on which the terms cancel
+identically is skipped.  Pairings and hermitian_completion refuse a
+derivative part.  They pair GaussianPackets, which own the box that
+bounds every packet integral: x0 +- B sigma, with B set by the panel
+tolerance (8 at 1e-10).  Plane panels start at the narrower packet's
+scale, line panels at the scale of the two packets' product.
 
 Conventions: theta(0) = 1/2, sign(0) = 0.
 """
@@ -129,6 +130,14 @@ def _require_packets(*psis):
     """DomainError unless every argument is a GaussianPacket."""
     if not all(isinstance(psi, GaussianPacket) for psi in psis):
         raise DomainError("packet arguments must be GaussianPackets")
+
+
+def _require_multiplication(kern, name):
+    """DomainError when kern has a derivative part (a kinetic or momentum
+    flag), which pairings and completions would drop or miscount."""
+    if kern.second_derivative_flag or kern.momentum_flag:
+        raise DomainError(f"{name} handles multiplication-type kernels only; "
+                          "derivative parts are applied by the Hamiltonian module")
 
 
 # kinds that are constant where their argument keeps one sign; the rest
@@ -268,73 +277,71 @@ class DistributionalKernel:
 
 
 class _TermArrays:
-    """Regular factors of a list of terms, compiled to arrays once.
+    """Regular factors of a list of terms, compiled once: the one
+    evaluator of kernel terms.
 
-    Each distinct factor is one row of kind, linear-form coefficients
-    (cx, cy), shift and rate.  A call evaluates every row at all points in
-    one broadcast, then forms each term as its coefficient times its rows
-    in factor order and adds the terms one by one, the order the symbolic
-    definition spells out.  piece() evaluates the same terms on a piece
-    (a cell or segment no kink line crosses) from one sign per row.
+    Each distinct factor is one row: kind, linear-form coefficients
+    (cx, cy), shift, rate and sign.  A call evaluates every row at all
+    points, then forms each term as its coefficient times its rows in
+    factor order and adds the terms one by one, the order the symbolic
+    definition spells out.  A row's sign is sign(u) at each point, or,
+    given ``signs`` ({factor: sign}), the one sign its argument keeps on a
+    piece: piece() returns such an evaluator.  Terms left with no factor
+    at all sum to one scalar, returned for any points.
     """
 
-    def __init__(self, terms):
-        terms = [(c, [(f.kind, f.argument, f.shift, f.rate) for f in factors]) for c, factors in terms]
-        # one row per distinct factor, grouped by kind so that each kind's
-        # rows are one slice
-        rows = sorted(dict.fromkeys(key for _, keys in terms for key in keys),
-                      key=lambda key: _KINDS.index(key[0]))
-        index = {key: r for r, key in enumerate(rows)}
+    def __init__(self, terms, signs=None):
+        terms = [(c, tuple(factors)) for c, factors in terms]
+        self.factors = tuple(dict.fromkeys(f for _, factors in terms for f in factors))
+        self.kinds = tuple(f.kind for f in self.factors)
+        index = {f: r for r, f in enumerate(self.factors)}
         self.coefficients = np.array([c for c, _ in terms], dtype=complex)
-        self.term_rows = tuple(tuple(index[key] for key in keys) for _, keys in terms)
-        self.kinds = tuple(kind for kind, _, _, _ in rows)
-        forms = np.array([_ARG_COEFFS[arg] for _, arg, _, _ in rows], dtype=float).reshape(-1, 2)
-        self.cx, self.cy = forms[:, :1], forms[:, 1:]
-        self.shift = np.array([shift for _, _, shift, _ in rows], dtype=float)[:, None]
-        self.rate = np.array([rate for _, _, _, rate in rows], dtype=float)[:, None]
-        self.kind_rows = tuple(
-            (kind, slice(self.kinds.index(kind), self.kinds.index(kind) + self.kinds.count(kind)))
-            for kind in _KINDS
-            if kind in self.kinds
-        )
+        self.term_rows = tuple(tuple(index[f] for f in factors) for _, factors in terms)
+        # sign None: read sign(u) at the points
+        self.rows = [(f.kind, *_ARG_COEFFS[f.argument], f.shift, f.rate, signs[f] if signs else None)
+                     for f in self.factors]
+        forms = np.array([row[1:4] for row in self.rows], dtype=float).reshape(-1, 3)
+        self.cx, self.cy, self.shift = forms.T
         # kink lines cx*x + cy*y + shift = 0, each listed once
         self.lines = tuple(sorted({
-            (*_ARG_COEFFS[arg], shift) for kind, arg, shift, _ in rows if kind in _KINKED
+            (*_ARG_COEFFS[f.argument], f.shift) for f in self.factors if f.kind in _KINKED
         }))
+        # np.complex128 coefficients added one by one, in term order
+        self.constant = None if self.factors else sum(self.coefficients, 0.0)
         self._pieces = {}
 
     def __call__(self, x, y):
         """Sum of the terms at the points (x, y), broadcast together."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        u = self.cx * x.ravel() + self.cy * y.ravel() + self.shift
-        s = np.sign(u)
-        values = np.empty_like(u)
-        for kind, rows in self.kind_rows:
-            values[rows] = _factor_values(kind, u[rows], s[rows], self.rate[rows])
-        total = np.zeros(u.shape[1], dtype=complex)
+        if self.constant is not None:
+            return self.constant
+        values = []
+        for kind, cx, cy, shift, rate, sign in self.rows:
+            u = cx * x + cy * y + shift
+            values.append(_factor_values(kind, u, np.sign(u) if sign is None else sign, rate))
+        total = 0.0
         for coefficient, rows in zip(self.coefficients, self.term_rows):
             v = coefficient
             for r in rows:
                 v = v * values[r]
             total = total + v
-        return total.reshape(x.shape)
+        return total
 
     def signs(self, x, y):
         """Sign of each row's argument at the point (x, y)."""
-        return np.sign(self.cx[:, 0] * x + self.cy[:, 0] * y + self.shift[:, 0])
+        return np.sign(self.cx * x + self.cy * y + self.shift)
 
     def piece(self, signs):
-        """Evaluator of the terms on a piece where row r's argument keeps
-        the sign signs[r], or None where they cancel identically.
+        """The terms on a piece where row r's argument keeps the sign
+        signs[r]: this evaluator with the signs fixed, or None where the
+        terms cancel identically.
 
         Each term's constant factors (const, sign, heaviside) fold into its
-        coefficient, a product by +-1, 0, 1/2 or 1 and so exact; a term
-        that folds to zero is dropped.  The evaluator takes points (x, y),
-        broadcast together, and returns the kernel_eval values there, bit
-        for bit, while they lie on the piece: each term is its folded
-        coefficient times its varying rows in factor order, added in term
-        order.  The terms cancel identically when, grouped by their
-        varying rows, every group's folded coefficients sum to exactly 0.
+        coefficient, in factor order, a product by +-1, 0, 1/2 or 1 and so
+        exact; a term that folds to zero is dropped.  The folded terms keep
+        their linear, abs and exp_abs factors, so at points on the piece
+        the evaluator returns the kernel_eval values, bit for bit.  The
+        terms cancel identically when, grouped by their remaining factors,
+        every group's folded coefficients sum to exactly 0.
         """
         key = tuple(signs)
         if key not in self._pieces:
@@ -342,7 +349,7 @@ class _TermArrays:
         return self._pieces[key]
 
     def _fold(self, signs):
-        terms, groups = [], {}
+        terms, groups, kept = [], {}, {}
         for coefficient, rows in zip(self.coefficients, self.term_rows):
             scalar, varying = coefficient, []
             for r in rows:
@@ -353,30 +360,11 @@ class _TermArrays:
             group = tuple(sorted(varying))
             groups[group] = groups.get(group, 0.0) + scalar
             if scalar != 0:
-                terms.append((scalar, varying))
+                terms.append((scalar, [self.factors[r] for r in varying]))
+                kept.update((self.factors[r], signs[r]) for r in varying)
         if all(total == 0 for total in groups.values()):
             return None
-        rows = sorted({r for _, varying in terms for r in varying})
-        factors = [
-            (self.kinds[r], self.cx[r, 0], self.cy[r, 0], self.shift[r, 0], signs[r], self.rate[r, 0])
-            for r in rows
-        ]
-        terms = [(scalar, [rows.index(r) for r in varying]) for scalar, varying in terms]
-
-        def evaluate(x, y):
-            values = [
-                _factor_values(kind, cx * x + cy * y + shift, s, rate)
-                for kind, cx, cy, shift, s, rate in factors
-            ]
-            total = 0.0
-            for scalar, positions in terms:
-                v = scalar
-                for i in positions:
-                    v = v * values[i]
-                total = total + v
-            return total
-
-        return evaluate
+        return _TermArrays(terms, kept)
 
 
 _SUPPORT_TOL = 1e-12
@@ -484,11 +472,7 @@ def kernel_pair(kern: DistributionalKernel, bra, ket):
     which the terms cancel identically are skipped.
     """
     _require_packets(bra, ket)
-    if kern.second_derivative_flag or kern.momentum_flag:
-        raise DomainError(
-            "kernel_pair handles multiplication-type kernels only; "
-            "derivative parts are applied by the Hamiltonian module"
-        )
+    _require_multiplication(kern, "kernel_pair")
     return _pair(kern, ((bra, ket),), bra, ket)
 
 
@@ -559,8 +543,8 @@ def _pair_line(argument, shift, arrays, products, lo, hi, h):
     # each row's argument along the line is slope t + offset: a kinked
     # row crossing the line cuts it at -offset/slope, and a factor on the
     # line itself has slope 0 and offset exactly 0
-    slope = arrays.cx[:, 0] * dx + arrays.cy[:, 0] * dy
-    offset = arrays.cx[:, 0] * px + arrays.cy[:, 0] * py + arrays.shift[:, 0]
+    slope = arrays.cx * dx + arrays.cy * dy
+    offset = arrays.cx * px + arrays.cy * py + arrays.shift
     crossing = [r for r, kind in enumerate(arrays.kinds) if kind in _KINKED and slope[r] != 0]
     cuts = sorted(c for c in {t0, t1, *(-offset[crossing] / slope[crossing])} if t0 <= c <= t1)
     pieces = [arrays.piece(np.sign(slope * (0.5 * (a + b)) + offset)) for a, b in zip(cuts, cuts[1:])]
@@ -676,8 +660,10 @@ def hermitian_completion(kern: DistributionalKernel) -> DistributionalKernel:
     """K(x,y) + conj(K(y,x)): the (x <-> y)* completion.
 
     Guarantees Hermitian symmetry of the result; the identity coefficient
-    doubles (so a listed 1/2 delta becomes the full delta).
+    doubles (so a listed 1/2 delta becomes the full delta).  A kernel with
+    a derivative part raises DomainError.
     """
+    _require_multiplication(kern, "hermitian_completion")
     mirrored = []
     for t in kern.terms:
         sign_flip = 1.0
@@ -689,7 +675,5 @@ def hermitian_completion(kern: DistributionalKernel) -> DistributionalKernel:
         mirrored.append(KernelTerm(np.conj(t.coefficient) * sign_flip, tuple(factors)))
     return DistributionalKernel(
         identity_coefficient=kern.identity_coefficient + np.conj(kern.identity_coefficient),
-        second_derivative_flag=kern.second_derivative_flag,
-        momentum_flag=kern.momentum_flag,
         terms=kern.terms + tuple(mirrored),
     )

@@ -19,6 +19,8 @@ their k-space oracle, the weighted spectral integral.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .kernels import (
     KernelPrimitive,
     KernelTerm,
     _pair,
+    _require_multiplication,
     _require_packets,
     hermitian_completion,
 )
@@ -230,10 +233,13 @@ def appendixA_weighted_overlap(p: AppendixAParams, g) -> complex:
     return integrate_1d(lambda k: f(k) + f(-k), 1e-9, np.inf, _SPECTRAL_SPEC)
 
 
-def _require_inm_index(n, m):
-    """DomainError unless (n, m) indexes the I_{n,m} family."""
+def _require_inm_args(n, m, alpha):
+    """DomainError unless (n, m) indexes the I_{n,m} family and alpha is a
+    finite real number."""
     if n not in (0, 1, 2) or m not in (1, 2, 3):
         raise DomainError("inm defined for n in 0..2, m in 1..3")
+    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
+        raise DomainError(f"inm needs a finite real alpha, got {alpha!r}")
 
 
 def inm(n: int, m: int, alpha: float):
@@ -242,7 +248,7 @@ def inm(n: int, m: int, alpha: float):
 
     Only (n, m) = (0, 1) carries a Dirac delta(alpha) part.
     """
-    _require_inm_index(n, m)
+    _require_inm_args(n, m, alpha)
     aa = abs(alpha)
     e = np.exp(-aa)
     if m == 1:
@@ -266,7 +272,7 @@ def inm_quadrature(n: int, m: int, alpha: float):
     delta part is removed analytically before integrating.  QAWF's cos/sin
     weight is not an integrate_1d option: the estimate of numerics._quad
     is kept (bounds <= 2.7e-13 on verify's INM_POINTS)."""
-    _require_inm_index(n, m)
+    _require_inm_args(n, m, alpha)
 
     if (n, m) == (0, 1):
         # k^2/(1+k^2) = 1 - 1/(1+k^2); the 1 is the delta, integrate the rest
@@ -382,9 +388,15 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
     diagonal.
 
     test_bra and test_ket are GaussianPackets (DomainError otherwise):
-    their boxes, second derivatives and panel widths are used.
+    their boxes, second derivatives and panel widths are used.  kern is
+    its identity part plus Dirac-free terms: a derivative part or a term
+    with a Dirac factor raises DomainError, since the residual would
+    silently leave it out.
     """
     _require_packets(test_bra, test_ket)
+    _require_multiplication(kern, "metric_de_residual")
+    if any(t.dirac_factors for t in kern.terms):
+        raise DomainError("metric_de_residual takes the identity and Dirac-free terms only")
     a = c.a
     zp, zm = c.z_plus, c.z_minus
 
@@ -397,8 +409,7 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
         for z, pos in ((zp, a), (zm, -a)):
             total += ic * (np.conj(z) - z) * np.conj(test_bra(pos)) * test_ket(pos)
 
-    reg_terms = tuple(t for t in kern.terms if not t.dirac_factors)
-    if not reg_terms:
+    if not kern.terms:
         return total
 
     # kinetic action moved to the test functions: pairings against the
@@ -407,14 +418,14 @@ def metric_de_residual(kern: DistributionalKernel, c: Couplings, test_bra, test_
         (test_bra, test_ket.second_derivative),
         (test_bra.second_derivative, lambda y: -test_ket(y)),
     )
-    total += _pair(DistributionalKernel(terms=reg_terms), kinetic, test_bra, test_ket)
+    total += _pair(DistributionalKernel(terms=kern.terms), kinetic, test_bra, test_ket)
 
-    # potential terms applied to the regular part: the line terms
+    # potential terms applied to K: the line terms
     # conj(z) delta(x - pos) K(x, y) - z K(x, y) delta(y - pos)
     potential = []
     for z, pos in ((zp, a), (zm, -a)):
         dirac_x, dirac_y = KernelPrimitive("dirac", "x", -pos), KernelPrimitive("dirac", "y", -pos)
-        for t in reg_terms:
+        for t in kern.terms:
             potential.append(KernelTerm(np.conj(z) * t.coefficient, (dirac_x,) + t.factors))
             potential.append(KernelTerm(-z * t.coefficient, (dirac_y,) + t.factors))
     potential_kern = DistributionalKernel(terms=tuple(potential))

@@ -17,6 +17,8 @@ Conventions: theta(0) = 1/2 and sign(0) = 0 throughout.
 from __future__ import annotations
 
 import cmath
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +105,19 @@ class ScatteringBranch:
     def __post_init__(self):
         if self.branch not in (1, 2):
             raise DomainError("branch must be 1 or 2")
-        if self.k <= 0:
-            raise DomainError("wave number k must be positive")
+        _require_positive_k(self.k, "ScatteringBranch")
 
     @property
     def signed_k(self) -> float:
         """Branch 2 is branch 1 evaluated at -k."""
         return self.k if self.branch == 1 else -self.k
+
+
+def _require_positive_k(k, name):
+    """DomainError unless k is a finite real number > 0: the one check on
+    the real wave number of a scattering state."""
+    if not (isinstance(k, numbers.Real) and math.isfinite(k) and k > 0):
+        raise DomainError(f"{name} requires a finite k > 0, got {k!r}")
 
 
 def nondimensionalize(ctx: PhysicalContext) -> Couplings:
@@ -254,8 +262,7 @@ def m22_with_derivative(c: Couplings, k):
 def k_matrix(c: Couplings, k: float):
     """Overlap matrix K at equal wave number: <psi^{z*}_a | psi^z_b> =
     delta(k-q) K_ab.  Entries in closed form."""
-    if not (np.isfinite(k) and k > 0):
-        raise DomainError("k_matrix requires a finite k > 0")
+    _require_positive_k(k, "k_matrix")
     zp, zm, a = c.z_plus, c.z_minus, c.a
     diag = 1 + (zm * zm + zp * zp) / (4 * k * k)
 

@@ -56,6 +56,11 @@ class ComplexRect:
     im_max: float
 
     def __post_init__(self):
+        # in Python floats a side past the float range is inf, not a warning
+        width = float(self.re_max) - float(self.re_min)
+        height = float(self.im_max) - float(self.im_min)
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise DomainError("rectangle edges and side lengths must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise DomainError("degenerate rectangle: need re_min < re_max and im_min < im_max")
 
@@ -351,10 +356,10 @@ def count_zeros(f, rect: ComplexRect, max_step: float = None):
     # bisection resolves the rest
     m = _EDGE_SAMPLES
     if max_step is not None:
-        longest = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
-        m = max(m, int(np.ceil(longest / max_step)))
-        if m > _MAX_EDGE_SAMPLES:
-            raise ContourError(f"rectangle too wide: {m} samples per edge exceed 2**16")
+        steps = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min) / max_step
+        if steps > _MAX_EDGE_SAMPLES:
+            raise ContourError(f"rectangle too wide: {steps:.4g} samples per edge exceed 2**16")
+        m = max(m, math.ceil(steps))
     ts = np.arange(m) / m
     za = (starts[:, None] + (ends - starts)[:, None] * ts).ravel()
     fa = _on_contour(f, za)
@@ -389,7 +394,11 @@ def count_zeros(f, rect: ComplexRect, max_step: float = None):
 
 
 def _on_contour(f, zs):
+    """f at the contour points zs; ContourError for an exact zero or a
+    value that is not finite, whose phase no bisection resolves."""
     fs = np.asarray(f(zs), dtype=complex)
     if np.any(fs == 0):
         raise ContourError("exact zero on the contour")
+    if not np.isfinite(fs).all():
+        raise ContourError("non-finite value of f on the contour")
     return fs

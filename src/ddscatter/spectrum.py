@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +168,8 @@ def default_bound_rect(c: Couplings) -> ComplexRect:
     25 % margin, its bottom edge clear of the essential point k = 0.  The
     floor 2 K_MIN_CUT only keeps the window non-degenerate at z = 0.
     """
-    half = max(0.625 * (abs(c.z_plus) + abs(c.z_minus)), 2 * K_MIN_CUT)
+    # Python floats: a sum past the float range is inf (ComplexRect rejects it), not a warning
+    half = max(0.625 * (float(abs(c.z_plus)) + float(abs(c.z_minus))), 2 * K_MIN_CUT)
     return ComplexRect(-half, half, K_MIN_CUT, half)
 
 
@@ -317,12 +319,12 @@ def scan_region(
     """
     if not np.isfinite([*r_range, *s_range]).all():
         raise DomainError("r_range and s_range endpoints must be finite")
-    if n < 2:
-        raise DomainError("grid size n must be at least 2")
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise DomainError(f"grid size n must be an integer of at least 2, got {n!r}")
     if not (np.isfinite(a) and a > 0):
         raise DomainError("a must be positive and finite")
-    if jobs < -1:
-        raise DomainError(f"jobs must be -1, 0 or positive, got {jobs}")
+    if not (isinstance(jobs, numbers.Integral) and jobs >= -1):
+        raise DomainError(f"jobs must be -1, 0 or a positive integer, got {jobs!r}")
     rs = np.linspace(r_range[0], r_range[1], n)
     ss = np.linspace(s_range[0], s_range[1], n)
     tasks = [(mode, r, s, a) for s in ss for r in rs]

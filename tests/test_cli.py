@@ -135,6 +135,18 @@ class TestScanCommand:
         assert statuses[:2] == ["ok", "ok"]
         assert all(st.startswith("error: ContourError") for st in statuses[2:])
 
+    def test_window_overflow_cells_exit_numerical(self, tmp_path, capsys):
+        # at r >= 1e308 the bound-state window overflows: each cell records
+        # a DomainError where the scan once ended in an OverflowError
+        # traceback with exit 1
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", "--mode", "pt", "--r=1e308:1.7e308", "--s=0.1:0.2", "--n", "2",
+                   "--jobs", "1", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "4 of 4 scan cells failed" in capsys.readouterr().err
+        statuses = [row["status"] for row in read_csv(out)]
+        assert all(st.startswith("error: DomainError") for st in statuses)
+
 
 def test_one_parser_serves_every_call(tmp_path):
     # main keeps one parser per process: a command, another command and a

@@ -18,6 +18,7 @@ from ddscatter import (
     kernel_eval,
     kernel_pair,
 )
+from ddscatter.hermitianize import p_kernel
 from ddscatter.kernels import regular_part_grid
 from ddscatter.numerics import integrate_1d
 
@@ -180,6 +181,12 @@ class TestCompletionAndSerialization:
         for _ in range(100):
             x, y = rng.uniform(-3, 3, 2)
             assert abs(kernel_eval(full, x, y) - np.conj(kernel_eval(full, y, x))) < 1e-15
+
+    def test_derivative_part_rejected(self):
+        # P's momentum flag was once copied, so the -i d/dx part counted
+        # once where K + K^dag has it twice
+        with pytest.raises(DomainError, match="multiplication-type"):
+            hermitian_completion(p_kernel(Couplings(0.1j, -0.1j, 1.0)))
 
     def test_round_trip(self):
         c = Couplings(0.1j, -0.1j, 1.0)

@@ -19,12 +19,14 @@ from ddscatter import (
     eta1_appendixA,
     eta1_bounded,
     inm,
+    inm_quadrature,
     kernel_eval,
     metric_de_residual,
     spectral_metric_estimate,
     u_inverse_sqrt_route,
 )
 from ddscatter import kernels
+from ddscatter.hermitianize import h_kernel, p_kernel, x_kernel
 from ddscatter.model import theta
 from ddscatter.verify import INM_POINTS, INM_TOL, inm_error
 
@@ -129,6 +131,14 @@ class TestInm:
         with pytest.raises(DomainError):
             inm(3, 1, 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 1j])
+    @pytest.mark.parametrize("fn,n,m", [(inm, 0, 1), (inm_quadrature, 2, 2)])
+    def test_non_finite_alpha_rejected(self, fn, n, m, alpha):
+        # inm(0, 1, nan) once returned (1.0, nan) and
+        # inm_quadrature(2, 2, nan) nan
+        with pytest.raises(DomainError, match="finite real alpha"):
+            fn(n, m, alpha)
+
 
 class TestUInverseSqrtRoute:
     def test_free_identity(self):
@@ -198,3 +208,17 @@ class TestMetricDE:
         c = Couplings(0.1j, -0.1j, 1.0)
         with pytest.raises(DomainError, match="GaussianPacket"):
             metric_de_residual(eta1_bounded(c), c, bra, lambda y: bra(y))
+
+    @pytest.mark.parametrize(
+        "make,match",
+        [(h_kernel, "multiplication-type"), (p_kernel, "multiplication-type"),
+         (x_kernel, "Dirac-free")],
+        ids=["h", "P", "X"],
+    )
+    def test_kernel_it_would_truncate_rejected(self, make, match):
+        # h's kinetic part, P's momentum part and every term with a Dirac
+        # factor were once dropped: h and P gave exactly 0j
+        bra, ket = GaussianPacket(1.3, 0.4, 0.2), GaussianPacket(1.1, -0.3, -0.4)
+        c = Couplings(0.1j, -0.1j, 1.0)
+        with pytest.raises(DomainError, match=match):
+            metric_de_residual(make(c), c, bra, ket)

@@ -86,6 +86,12 @@ class TestNondimensionalize:
 
 
 class TestPsi:
+    @pytest.mark.parametrize("k", [np.nan, np.inf, 0.0, -1.0, 1j])
+    def test_bad_wave_number_rejected(self, k):
+        # nan and inf were once accepted, and psi_eval then returned nan
+        with pytest.raises(DomainError, match="finite k > 0"):
+            ScatteringBranch(1, k)
+
     def test_plane_wave_inside(self):
         c = Couplings(0.7 + 0.3j, -0.2 + 0.1j, 1.0)
         s = ScatteringBranch(1, 1.3)
@@ -277,10 +283,11 @@ class TestKMatrix:
         assert abs(K[0, 0] - 0.995) < 1e-15
         assert abs(K[1, 1] - 0.995) < 1e-15
 
-    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf, 1j, 1 + 0j])
     @pytest.mark.parametrize("fn", [k_matrix, u_inverse_sqrt_route])
     def test_non_positive_or_non_finite_k_rejected(self, fn, k):
         # k = nan once passed the k <= 0 check: k_matrix gave an all-nan
-        # matrix and u_inverse_sqrt_route raised numpy's LinAlgError
+        # matrix and u_inverse_sqrt_route raised numpy's LinAlgError; a
+        # complex k raised TypeError from the comparison
         with pytest.raises(DomainError, match="finite k > 0"):
             fn(Couplings(0.1j, 0.1j, 1.0), k)

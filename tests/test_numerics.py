@@ -183,10 +183,29 @@ class TestCountZeros:
             count_zeros(lambda k: calls.append(k) or k, ComplexRect(-1e9, 1e9, 1.0, 2.0), 1.0)
         assert calls == []
 
+    def test_sample_count_past_the_float_range_rejected(self):
+        # side / max_step overflows to inf: once an untyped OverflowError
+        with pytest.raises(ContourError, match="too wide"):
+            count_zeros(lambda k: k, ComplexRect(-1.0, 1.0, 0.5, 2.0), 1e-310)
+
     def test_zero_on_contour_rejected(self):
         # zero at k = 1 sits exactly on the right edge
         with pytest.raises(ContourError):
             count_zeros(lambda k: k - 1.0, ComplexRect(0, 1, -1, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_value_rejected(self, bad):
+        # a nan or inf on the contour once sent every phase step next to
+        # it through 24 levels of bisection, 256 * 2**24 points for z * nan
+        calls = []
+
+        def f(k):
+            calls.append(k)
+            assert len(calls) == 1, "count_zeros bisected a non-finite value"
+            return np.where(k.real > 0.9, bad, k - 0.5j)
+
+        with pytest.raises(ContourError, match="non-finite"):
+            count_zeros(f, ComplexRect(-1, 1, 0.1, 1))
 
     @pytest.mark.parametrize("max_step", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_bad_max_step_rejected(self, max_step):
@@ -196,6 +215,19 @@ class TestCountZeros:
         with pytest.raises(DomainError, match="max_step"):
             count_zeros(lambda k: calls.append(k) or k, ComplexRect(-1, 1, 0.5, 2), max_step)
         assert calls == []
+
+
+class TestComplexRect:
+    @pytest.mark.parametrize(
+        "edges",
+        [(-np.inf, 1, 0, 1), (-1, np.nan, 0, 1), (-1, 1, 0, np.inf), (-1, 1, -np.inf, np.inf),
+         (-1e308, 1.7e308, 0, 1), (-1, 1, -1e308, 1e308)],
+    )
+    def test_non_finite_edge_or_side_rejected(self, edges):
+        # once accepted: count_zeros then raised an untyped OverflowError
+        # from its sample count
+        with pytest.raises(DomainError, match="finite"):
+            ComplexRect(*edges)
 
 
 class TestRefineRoot:

@@ -253,6 +253,13 @@ class TestBoundStates:
         kappa = k.imag
         assert abs(4 * kappa**2 - 0.09 * (1 - np.exp(-4 * kappa))) < 1e-10
 
+    @pytest.mark.parametrize("z", [1e308, 0.8e308])
+    def test_window_past_the_float_range_rejected(self, z):
+        # the window's half-width or side overflows to inf: once an
+        # untyped OverflowError from count_zeros' sample count
+        with pytest.raises(DomainError, match="finite"):
+            count_bound_states(Couplings(z, z, 1.0))
+
     def test_root_location_large_hermitian_row(self):
         # z_+ = -z_- = 5000: kappa = 2500 (1 - e^{-4 kappa})^{1/2} = 2500, in a window
         # 1.25e4 wide, within count_zeros' 2**16 samples per edge
@@ -556,11 +563,13 @@ class TestScanRegion:
         "kwargs",
         [{"n": 1}, {"a": -1.0}, {"a": np.nan}, {"a": 0.0}, {"a": np.inf}, {"jobs": -2},
          {"r_range": (np.nan, 0.2)}, {"r_range": (-0.99, np.inf)},
-         {"s_range": (-np.inf, 0.4)}, {"s_range": (-0.4, np.nan)}],
+         {"s_range": (-np.inf, 0.4)}, {"s_range": (-0.4, np.nan)},
+         {"n": 2.5}, {"jobs": 1.5}],
     )
     def test_bad_input_rejected_before_any_cell(self, kwargs, monkeypatch):
         # a nan endpoint once filled the grid with error rows, an infinite
-        # one warned in linspace first
+        # one warned in linspace first; a fractional n or jobs raised
+        # TypeError
         def no_cell(task):
             raise AssertionError("a cell ran")
 
